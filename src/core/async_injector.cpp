@@ -10,9 +10,9 @@ namespace ftr::core {
 AsyncFailureInjector::AsyncFailureInjector(ftmpi::Runtime& rt, Options opt)
     : rt_(rt), opt_(std::move(opt)) {
   // A wall-clock killer can unblock ranks at any real-time instant; the
-  // deadlock sanitizer must not call an all-blocked world stuck while one
-  // is armed.
-  FTR_DLSAN_WAKER_ARM();
+  // deadlock checker must not call an all-blocked world stuck while one is
+  // armed.
+  if (rt_.checks().deadlock) ftmpi::dlsan::on_waker_arm();
   thread_ = std::thread([this] {
     // ftlint:allow(FTL008 real-time injector thread, deliberately outside the rank world; sleeps wall-clock time, never a fiber)
     std::this_thread::sleep_for(std::chrono::milliseconds(opt_.delay_ms));
@@ -27,7 +27,7 @@ AsyncFailureInjector::AsyncFailureInjector(ftmpi::Runtime& rt, Options opt)
         std::this_thread::sleep_for(std::chrono::milliseconds(opt_.delay_ms));
       }
     }
-    FTR_DLSAN_WAKER_DISARM();
+    if (rt_.checks().deadlock) ftmpi::dlsan::on_waker_disarm();
   });
 }
 

@@ -85,12 +85,6 @@ FtApp::FtApp(AppConfig cfg) : cfg_(std::move(cfg)), layout_(build_layout(cfg_.la
     const std::string v(e);
     if (v == "planner") {
       cfg_.recovery = RecoveryPolicy::Planner;
-    } else if (v == "cr") {
-      cfg_.recovery = RecoveryPolicy::Cr;
-    } else if (v == "rc") {
-      cfg_.recovery = RecoveryPolicy::Rc;
-    } else if (v == "ac") {
-      cfg_.recovery = RecoveryPolicy::Ac;
     } else if (v == "technique") {
       cfg_.recovery = RecoveryPolicy::Technique;
     } else if (v == "overlap") {
@@ -123,9 +117,6 @@ FtApp::FtApp(AppConfig cfg) : cfg_(std::move(cfg)), layout_(build_layout(cfg_.la
 ftr::rec::PlannerMode FtApp::planner_mode() const {
   switch (cfg_.recovery) {
     case RecoveryPolicy::Planner: return ftr::rec::PlannerMode::Lattice;
-    case RecoveryPolicy::Cr: return ftr::rec::PlannerMode::ForceCr;
-    case RecoveryPolicy::Rc: return ftr::rec::PlannerMode::ForceRc;
-    case RecoveryPolicy::Ac: return ftr::rec::PlannerMode::ForceAc;
     // Overlap restores through the full lattice at the classic detection
     // points; PlannerMode::Overlap is only used for the restricted plan the
     // background repair computes on the partial world (overlap_repair_world).
@@ -1046,7 +1037,7 @@ bool FtApp::try_overlap_recovery(RankState& st, long interval, int step_rc) {
     ftr::observe_error(ftmpi::comm_revoke(shrunken), "ft_app.overlap.prefix");
     return false;
   }
-  FTR_PSAN_OVERLAP_SPLIT(side, epoch);
+  if (ftmpi::runtime().checks().protocol) ftmpi::psan::on_overlap_split(side, epoch);
 
   st.overlap_active = true;
   if (continuation) {
@@ -1134,13 +1125,19 @@ bool FtApp::overlap_continuation(RankState& st, long interval,
         v = overlap::kVerdictAbort;
       }
     }
-    int agreed = v;
-    if (ftmpi::allreduce(&v, &agreed, 1, ftmpi::ReduceOp::Max, ccomm) != kSuccess) {
+    // Agree, not allreduce: an allreduce racing a death can hand the value
+    // to some ranks and an error to others, splitting the side between the
+    // handoff and the fallback (each then blocks on the other).  The agreed
+    // flag is uniform.  Bit 0: nobody votes abort.  Bit 1: the doorbell read
+    // READY — only ccomm rank 0 polls, the others vote 1, and a failure the
+    // agree reports (rank 0 may be the dead one) aborts everyone alike.
+    int bits = (v == overlap::kVerdictAbort ? 0 : 1) |
+               (ccomm.rank() != 0 || v == overlap::kVerdictReady ? 2 : 0);
+    if (ftmpi::comm_agree(ccomm, &bits) != kSuccess || (bits & 1) == 0) {
       aborted = true;
       break;
     }
-    verdict = agreed;
-    if (verdict == overlap::kVerdictAbort) aborted = true;
+    verdict = (bits & 2) != 0 ? overlap::kVerdictReady : overlap::kVerdictNone;
   }
   st.solve_time += ftmpi::wtime() - t0;
 
@@ -1577,9 +1574,10 @@ void FtApp::overlap_child(RankState& st) {
 bool FtApp::overlap_adopt(RankState& st, ftmpi::Comm nworld, int leader_old,
                           std::uint64_t epoch) {
   // This rank has acked the doorbell: the pre-handoff world (and the side
-  // comm of the attempt) is dead weight from here on.  Under FTR_PSAN a
-  // straggler collective on either context aborts with a pinned diagnostic.
-  FTR_PSAN_HANDOFF(st.world, epoch);
+  // comm of the attempt) is dead weight from here on.  With the protocol
+  // checker selected, a straggler collective on either context aborts with
+  // a pinned diagnostic.
+  if (ftmpi::runtime().checks().protocol) ftmpi::psan::on_handoff(st.world, epoch);
   st.world = std::move(nworld);
   st.wrank = st.world.rank();
   // Agree on the unrestored set (the continuation side has not seen the

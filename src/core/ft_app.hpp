@@ -107,8 +107,6 @@ inline constexpr const char* kOverlapSteps = "recon.overlap.steps";
 ///   Planner   — the unified preference lattice (RC copy -> RC resample ->
 ///               buddy snapshot -> disk checkpoint -> GCP -> idle), picking
 ///               the cheapest feasible source per lost grid;
-///   Cr/Rc/Ac  — force one technique's restoration regardless of layout
-///               (infeasible patterns degrade to GCP/idle, never crash).
 ///   Overlap   — non-blocking overlapped recovery: survivors of unaffected
 ///               grids keep time-stepping on a continuation sub-communicator
 ///               while the affected grids' survivors rebuild the world in
@@ -117,9 +115,9 @@ inline constexpr const char* kOverlapSteps = "recon.overlap.steps";
 ///               failure of the overlap falls back to the classic
 ///               stop-the-world reconstruct.  Restoration follows the
 ///               planner lattice.
-/// The FTR_RECOVERY environment variable (planner|cr|rc|ac|technique|
-/// overlap) overrides the configured value at construction time.
-enum class RecoveryPolicy { Technique, Planner, Cr, Rc, Ac, Overlap };
+/// The FTR_RECOVERY environment variable (technique|planner|overlap)
+/// overrides the configured value at construction time.
+enum class RecoveryPolicy { Technique, Planner, Overlap };
 
 struct AppConfig {
   LayoutConfig layout;

@@ -37,7 +37,7 @@ int allreduce_bytes_tree(void* buf, std::size_t elem_size, int count, ReduceOp o
   detail::check_alive();
   int rc = validate_intra(c, 0);
   if (rc != kSuccess) return finish(c, rc);
-  FTR_PSAN_COLLECTIVE(c, "allreduce", 0);
+  if (detail::rt().checks().protocol) psan::on_collective(c, "allreduce", 0);
   if (c.is_revoked()) return finish(c, kErrRevoked);
 
   const std::uint64_t id = c.context()->id;
@@ -171,7 +171,7 @@ int barrier(const Comm& c) {
   detail::check_alive();
   int rc = validate_intra(c, 0);
   if (rc != kSuccess) return finish(c, rc);
-  FTR_PSAN_COLLECTIVE(c, "barrier", 0);
+  if (detail::rt().checks().protocol) psan::on_collective(c, "barrier", 0);
   if (c.is_revoked()) return finish(c, kErrRevoked);
 
   const std::uint64_t id = c.context()->id;
@@ -211,7 +211,7 @@ int bcast_bytes(void* buf, std::size_t n, int root, const Comm& c) {
   detail::check_alive();
   int rc = validate_intra(c, root);
   if (rc != kSuccess) return finish(c, rc);
-  FTR_PSAN_COLLECTIVE(c, "bcast_bytes", root);
+  if (detail::rt().checks().protocol) psan::on_collective(c, "bcast_bytes", root);
   if (c.is_revoked()) return finish(c, kErrRevoked);
 
   const std::uint64_t id = c.context()->id;
@@ -240,7 +240,7 @@ int gather_bytes(const void* data, std::size_t n, std::vector<std::vector<std::b
   detail::check_alive();
   int rc = validate_intra(c, root);
   if (rc != kSuccess) return finish(c, rc);
-  FTR_PSAN_COLLECTIVE(c, "gather_bytes", root);
+  if (detail::rt().checks().protocol) psan::on_collective(c, "gather_bytes", root);
   if (c.is_revoked()) return finish(c, kErrRevoked);
 
   const std::uint64_t id = c.context()->id;

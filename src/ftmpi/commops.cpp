@@ -38,7 +38,7 @@ int comm_split(const Comm& c, int color, int key, Comm* out) {
   chaos_point("split");
   *out = Comm{};
   if (c.is_null() || c.is_inter()) return kErrComm;
-  FTR_PSAN_COLLECTIVE(c, "comm_split", -1);
+  if (detail::rt().checks().protocol) psan::on_collective(c, "comm_split", -1);
   if (c.is_revoked()) return finish(c, kErrRevoked);
 
   const std::uint64_t id = c.context()->id;
@@ -142,7 +142,9 @@ int intercomm_create(const Comm& local, int local_leader, const Comm& bridge,
   *out = Comm{};
   if (local.is_null() || local.is_inter()) return kErrComm;
   if (local_leader < 0 || local_leader >= local.size()) return kErrArg;
-  FTR_PSAN_COLLECTIVE(local, "intercomm_create", local_leader);
+  if (detail::rt().checks().protocol) {
+    psan::on_collective(local, "intercomm_create", local_leader);
+  }
   if (local.is_revoked()) return finish(local, kErrRevoked);
 
   Runtime& r = detail::rt();
@@ -248,7 +250,7 @@ int intercomm_create(const Comm& local, int local_leader, const Comm& bridge,
 
 int comm_free(Comm* c) {
   if (c == nullptr) return kErrArg;
-  FTR_PSAN_FREE(*c);
+  if (detail::rt().checks().protocol) psan::on_free(*c);
   *c = Comm{};
   return kSuccess;
 }

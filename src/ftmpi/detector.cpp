@@ -210,7 +210,7 @@ void drain(ProcessState& ps) {
     ps.det_pending.store(0, std::memory_order_release);
   }
   for (const Message& m : batch) {
-    FTR_VTSAN_JOIN(m);
+    if (ps.rt->checks().vtsan) vtsan::join_receive(m);
     absorb_one(ps, m);
   }
 }

@@ -1,10 +1,6 @@
-// Virtual-time deadlock detector (see dlsan.hpp).  Compiled into the
-// library only under FTR_SANITIZE=deadlock; otherwise this translation
-// unit is empty.
+// Virtual-time deadlock detector (see dlsan.hpp).
 
 #include "ftmpi/dlsan.hpp"
-
-#ifdef FTR_DLSAN
 
 #include <cstdio>
 #include <cstdlib>
@@ -35,8 +31,7 @@ struct Wait {
   std::uint64_t intr_expect = 0;
   const std::atomic<std::uint64_t>* intr2 = nullptr;
   std::uint64_t intr2_expect = 0;
-  const char* file = nullptr;
-  int line = 0;
+  std::source_location at;
 };
 
 struct Entry {
@@ -94,7 +89,7 @@ std::string describe(const Entry& e) {
   char buf[160];
   std::snprintf(buf, sizeof(buf), "blocked in %s (ctx %llu, tag %d, vt %.6f) at %s:%d",
                 e.w.op, static_cast<unsigned long long>(e.w.ctx), e.w.tag, e.w.vtime,
-                e.w.file, e.w.line);
+                e.w.at.file_name(), static_cast<int>(e.w.at.line()));
   return buf;
 }
 
@@ -227,7 +222,7 @@ void on_block(const char* op, std::uint64_t ctx, int tag,
               const std::vector<ProcessState*>& watch, CommContext* revoke_ctx,
               bool drains_detector, const std::atomic<std::uint64_t>* intr,
               std::uint64_t intr_expect, const std::atomic<std::uint64_t>* intr2,
-              std::uint64_t intr2_expect, const char* file, int line) {
+              std::uint64_t intr2_expect, std::source_location at) {
   std::lock_guard<std::mutex> lock(g_mu);
   Entry* e = self_entry();
   if (e == nullptr) return;
@@ -250,12 +245,11 @@ void on_block(const char* op, std::uint64_t ctx, int tag,
   e->w.intr_expect = intr_expect;
   e->w.intr2 = intr2;
   e->w.intr2_expect = intr2_expect;
-  e->w.file = file;
-  e->w.line = line;
+  e->w.at = at;
   analyze(e->self->rt, e->self->pid);
 }
 
-void on_block_probe(const Comm& c, int src, int tag, const char* file, int line) {
+void on_block_probe(const Comm& c, int src, int tag, std::source_location at) {
   std::lock_guard<std::mutex> lock(g_mu);
   Entry* e = self_entry();
   if (e == nullptr) return;
@@ -269,8 +263,7 @@ void on_block_probe(const Comm& c, int src, int tag, const char* file, int line)
     const Group& senders = c.is_inter() ? c.remote_group() : c.group();
     e->w.watch.push_back(senders.pids.at(static_cast<size_t>(src)));
   }
-  e->w.file = file;
-  e->w.line = line;
+  e->w.at = at;
   analyze(e->self->rt, e->self->pid);
 }
 
@@ -316,4 +309,3 @@ void on_runtime_destroyed(const void* rt) {
 
 }  // namespace ftmpi::dlsan
 
-#endif  // FTR_DLSAN

@@ -1,6 +1,6 @@
 #pragma once
-// Virtual-time deadlock sanitizer (FTR_SANITIZE=deadlock, compile
-// definition FTR_DLSAN).
+// Virtual-time deadlock sanitizer (runtime checker `deadlock`, selected per
+// Runtime with FTR_CHECK=deadlock).
 //
 // The runtime cross-check for ftlint's message-flow rules (FTL011/FTL013).
 // Those rules ask, statically, "can a rank-dependent send/recv pairing or
@@ -26,12 +26,13 @@
 // corresponding hook below clears the registration first, so a rank that
 // is registered blocked at analysis time really has nothing pending.
 //
-// Everything here compiles to nothing unless FTR_DLSAN is defined; the
-// macros below keep the hot paths free of even argument evaluation in
-// normal builds.
+// Compiled into every build but off unless selected: each call site tests
+// Runtime::checks().deadlock first, so an unselected run pays one branch per
+// hook and never evaluates the hook's arguments.
 
 #include <atomic>
 #include <cstdint>
+#include <source_location>
 #include <vector>
 
 #include "ftmpi/types.hpp"
@@ -43,8 +44,6 @@ struct ProcessState;
 class Comm;
 
 namespace dlsan {
-
-#ifdef FTR_DLSAN
 
 /// Pre-register a created process as live and unblocked (create_process(),
 /// under the runtime lock, before its thread exists).  Registration at
@@ -73,11 +72,13 @@ void on_block(const char* op, std::uint64_t ctx, int tag,
               const std::vector<ProcessState*>& watch, CommContext* revoke_ctx,
               bool drains_detector, const std::atomic<std::uint64_t>* intr,
               std::uint64_t intr_expect, const std::atomic<std::uint64_t>* intr2,
-              std::uint64_t intr2_expect, const char* file, int line);
+              std::uint64_t intr2_expect,
+              std::source_location at = std::source_location::current());
 
 /// on_block for the blocking probe loop: watches the named sender (or
 /// nothing, for kAnySource) and has no interrupt/revoke exits.
-void on_block_probe(const Comm& c, int src, int tag, const char* file, int line);
+void on_block_probe(const Comm& c, int src, int tag,
+                    std::source_location at = std::source_location::current());
 
 /// Clear the calling rank's registration (immediately after the cv wait).
 void on_unblock();
@@ -99,39 +100,6 @@ void on_waker_disarm();
 /// Drop all state belonging to `rt` (~Runtime): pids restart per Runtime
 /// instance, and a stack address can be reused.
 void on_runtime_destroyed(const void* rt);
-
-#define FTR_DLSAN_PROC_CREATED(rt, ps) ::ftmpi::dlsan::on_proc_created((rt), (ps))
-#define FTR_DLSAN_PROC_RELEASED(rt, pid) ::ftmpi::dlsan::on_proc_released((rt), (pid))
-#define FTR_DLSAN_THREAD_START() ::ftmpi::dlsan::on_thread_start()
-#define FTR_DLSAN_THREAD_EXIT() ::ftmpi::dlsan::on_thread_exit()
-#define FTR_DLSAN_BLOCK(op, ctx, tag, watch, rctx, det, i1, e1, i2, e2)      \
-  ::ftmpi::dlsan::on_block((op), (ctx), (tag), (watch), (rctx), (det), (i1), \
-                           (e1), (i2), (e2), __FILE__, __LINE__)
-#define FTR_DLSAN_BLOCK_PROBE(c, src, tag) \
-  ::ftmpi::dlsan::on_block_probe((c), (src), (tag), __FILE__, __LINE__)
-#define FTR_DLSAN_UNBLOCK() ::ftmpi::dlsan::on_unblock()
-#define FTR_DLSAN_WAKE(rt, dst) ::ftmpi::dlsan::on_wake((rt), (dst))
-#define FTR_DLSAN_NOTIFY_ALL(rt) ::ftmpi::dlsan::on_notify_all((rt))
-#define FTR_DLSAN_WAKER_ARM() ::ftmpi::dlsan::on_waker_arm()
-#define FTR_DLSAN_WAKER_DISARM() ::ftmpi::dlsan::on_waker_disarm()
-#define FTR_DLSAN_RUNTIME_DESTROYED(rt) ::ftmpi::dlsan::on_runtime_destroyed((rt))
-
-#else
-
-#define FTR_DLSAN_PROC_CREATED(rt, ps) ((void)0)
-#define FTR_DLSAN_PROC_RELEASED(rt, pid) ((void)0)
-#define FTR_DLSAN_THREAD_START() ((void)0)
-#define FTR_DLSAN_THREAD_EXIT() ((void)0)
-#define FTR_DLSAN_BLOCK(op, ctx, tag, watch, rctx, det, i1, e1, i2, e2) ((void)0)
-#define FTR_DLSAN_BLOCK_PROBE(c, src, tag) ((void)0)
-#define FTR_DLSAN_UNBLOCK() ((void)0)
-#define FTR_DLSAN_WAKE(rt, dst) ((void)0)
-#define FTR_DLSAN_NOTIFY_ALL(rt) ((void)0)
-#define FTR_DLSAN_WAKER_ARM() ((void)0)
-#define FTR_DLSAN_WAKER_DISARM() ((void)0)
-#define FTR_DLSAN_RUNTIME_DESTROYED(rt) ((void)0)
-
-#endif  // FTR_DLSAN
 
 }  // namespace dlsan
 }  // namespace ftmpi

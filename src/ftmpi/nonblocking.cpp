@@ -36,7 +36,7 @@ int irecv_bytes(void* buf, std::size_t max_bytes, int src, int tag, const Comm& 
                 Request* req) {
   detail::check_alive();
   if (c.is_null()) return kErrComm;
-  FTR_PSAN_USE(c, "irecv_bytes");
+  if (detail::rt().checks().protocol) psan::on_use(c, "irecv_bytes");
   *req = Request{};
   req->kind_ = Request::Kind::Recv;
   req->comm = c;
@@ -120,10 +120,12 @@ int iprobe(int src, int tag, const Comm& c, int* flag, Status* status) {
   detail::check_alive();
   *flag = 0;
   if (c.is_null()) return kErrComm;
-  FTR_PSAN_USE(c, "iprobe");
+  if (detail::rt().checks().protocol) psan::on_use(c, "iprobe");
   if (c.is_revoked()) {
     // Returned directly, not via finish(): mark the observation here.
-    FTR_PSAN_REVOKE_OBSERVED(c, "error return (kErrRevoked)");
+    if (detail::rt().checks().protocol) {
+      psan::on_revoke_observed(c, "error return (kErrRevoked)", false);
+    }
     return kErrRevoked;
   }
   ProcessState& ps = detail::self();
@@ -161,9 +163,10 @@ FTR_YIELD int probe(int src, int tag, const Comm& c, Status* status) {
     ProcessState& ps = detail::self();
     std::unique_lock<std::mutex> lock(ps.mu);
     if (ps.dead.load()) throw ProcessKilled{ps.pid};
-    FTR_DLSAN_BLOCK_PROBE(c, src, tag);
+    const bool deadlock = ps.rt->checks().deadlock;
+    if (deadlock) dlsan::on_block_probe(c, src, tag);
     ps.cv.wait(lock);
-    FTR_DLSAN_UNBLOCK();
+    if (deadlock) dlsan::on_unblock();
   }
 }
 
@@ -201,7 +204,7 @@ int recv_buffered(void* buf, std::size_t max_bytes, int src, int tag, const Comm
     Message msg = std::move(*it);
     ps.mailbox.erase(it);
     ps.vclock = std::max(ps.vclock, msg.arrive) + cm.recv_overhead;
-    FTR_VTSAN_JOIN(msg);
+    if (ps.rt->checks().vtsan) vtsan::join_receive(msg);
     lock.unlock();
     const std::size_t n = std::min(max_bytes, msg.payload.size());
     if (n > 0) std::memcpy(buf, msg.payload.data(), n);

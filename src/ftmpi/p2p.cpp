@@ -110,6 +110,7 @@ FTR_YIELD int wait_for_message(const WaitSpec& spec, Message* out) {
   ProcessState& ps = self();
   const CostModel& cm = ps.rt->cost();
   const bool det = detector::enabled(ps);
+  const Runtime::Checks& checks = ps.rt->checks();
   std::unique_lock<std::mutex> lock(ps.mu);
   for (;;) {
     if (ps.dead.load()) throw ProcessKilled{ps.pid};
@@ -126,7 +127,7 @@ FTR_YIELD int wait_for_message(const WaitSpec& spec, Message* out) {
         *out = std::move(*it);
         ps.mailbox.erase(it);
         ps.vclock = std::max(ps.vclock, out->arrive) + cm.recv_overhead;
-        FTR_VTSAN_JOIN(*out);
+        if (checks.vtsan) vtsan::join_receive(*out);
         return kSuccess;
       }
     }
@@ -163,11 +164,13 @@ FTR_YIELD int wait_for_message(const WaitSpec& spec, Message* out) {
         return kErrProcFailed;
       }
     }
-    FTR_DLSAN_BLOCK(spec.op, spec.dbg_ctx, spec.dbg_tag, spec.watch,
-                    spec.revoke_ctx, det, spec.interrupt, spec.interrupt_expect,
-                    spec.interrupt2, spec.interrupt2_expect);
+    if (checks.deadlock) {
+      dlsan::on_block(spec.op, spec.dbg_ctx, spec.dbg_tag, spec.watch, spec.revoke_ctx, det,
+                      spec.interrupt, spec.interrupt_expect, spec.interrupt2,
+                      spec.interrupt2_expect);
+    }
     ps.cv.wait(lock);
-    FTR_DLSAN_UNBLOCK();
+    if (checks.deadlock) dlsan::on_unblock();
   }
 }
 
@@ -287,7 +290,9 @@ int ctrl_recv_any(const std::vector<ProcId>& watch, std::uint64_t ctx, int tag,
 int finish(const Comm& c, int code) {
   // The first kErrRevoked returned to the caller is the rank's *observation*
   // of the revocation; from here on only the salvage set may touch `c`.
-  if (code == kErrRevoked) FTR_PSAN_REVOKE_OBSERVED(c, "error return (kErrRevoked)");
+  if (code == kErrRevoked && detail::rt().checks().protocol) {
+    psan::on_revoke_observed(c, "error return (kErrRevoked)", false);
+  }
   if (code != kSuccess && !c.is_null() && c.local().errhandler) {
     Comm handle = c;
     c.local().errhandler(handle, code);
@@ -298,7 +303,7 @@ int finish(const Comm& c, int code) {
 int send_bytes(const void* data, std::size_t n, int dest, int tag, const Comm& c) {
   detail::check_alive();
   if (c.is_null()) return kErrComm;
-  FTR_PSAN_USE(c, "send_bytes");
+  if (detail::rt().checks().protocol) psan::on_use(c, "send_bytes");
   if (tag < 0 || dest < 0 || dest >= (c.is_inter() ? c.remote_size() : c.size())) {
     return finish(c, kErrArg);
   }
@@ -324,7 +329,7 @@ int recv_bytes(void* buf, std::size_t max_bytes, int src, int tag, const Comm& c
                Status* status) {
   detail::check_alive();
   if (c.is_null()) return kErrComm;
-  FTR_PSAN_USE(c, "recv_bytes");
+  if (detail::rt().checks().protocol) psan::on_use(c, "recv_bytes");
   if (c.is_revoked()) return finish(c, kErrRevoked);
   const Group& senders = c.is_inter() ? c.remote_group() : c.group();
   if (src != kAnySource && (src < 0 || src >= senders.size())) return finish(c, kErrArg);

@@ -1,10 +1,6 @@
-// Protocol-sanitizer shadow state (see psan.hpp).  Compiled into the
-// library only under FTR_SANITIZE=protocol; otherwise this translation unit
-// is empty.
+// Protocol-sanitizer shadow state (see psan.hpp).
 
 #include "ftmpi/psan.hpp"
-
-#ifdef FTR_PSAN
 
 #include <cinttypes>
 #include <cstdio>
@@ -34,12 +30,11 @@ std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
   return h;
 }
 
-/// One recorded event on a (process, context) stream.  `op` and `file`
-/// point at string literals from the instrumentation sites.
+/// One recorded event on a (process, context) stream.  `op` points at a
+/// string literal from the instrumentation site.
 struct OpRec {
   const char* op = nullptr;
-  const char* file = nullptr;
-  int line = 0;
+  std::source_location at;
   int root = -1;
   std::uint64_t seq = 0;
 };
@@ -89,6 +84,8 @@ struct OverlapRec {
 };
 std::map<std::pair<const void*, ProcId>, OverlapRec> g_overlap;
 
+int line_of(const std::source_location& at) { return static_cast<int>(at.line()); }
+
 void record(Shadow& s, const OpRec& rec) {
   if (s.ring_len < kRing) {
     s.ring[s.ring_len++] = rec;
@@ -107,7 +104,7 @@ void print_ring(const Shadow& s) {
     const OpRec& r = s.ring[i];
     std::fprintf(stderr, " #%" PRIu64 " %s", r.seq, r.op);
     if (r.root >= 0) std::fprintf(stderr, "(root=%d)", r.root);
-    std::fprintf(stderr, " @%s:%d", r.file, r.line);
+    std::fprintf(stderr, " @%s:%d", r.at.file_name(), line_of(r.at));
   }
 }
 
@@ -122,7 +119,7 @@ void print_ring(const Shadow& s) {
 /// are pervasive (world() stays a live alias after reconstruct frees its
 /// own copy of the broken world), so only double-free is checkable.
 void check_life(const Shadow& s, ProcId pid, std::uint64_t ctx, const char* op,
-                const char* file, int line) {
+                const std::source_location& at) {
   if (!s.self_revoked) return;
   std::fprintf(stderr,
                "ftmpi-psan: use-after-revoke: %s on comm ctx %" PRIu64
@@ -131,8 +128,8 @@ void check_life(const Shadow& s, ProcId pid, std::uint64_t ctx, const char* op,
                "after revoking a communicator only the salvage set "
                "(iprobe_buffered/recv_buffered/shrink/agree/free) "
                "may touch it\n",
-               op, ctx, pid, file, line, s.revoke_event.file, s.revoke_event.line,
-               s.revoke_event.op);
+               op, ctx, pid, at.file_name(), line_of(at), s.revoke_event.at.file_name(),
+               line_of(s.revoke_event.at), s.revoke_event.op);
   die();
 }
 
@@ -141,7 +138,7 @@ void check_life(const Shadow& s, ProcId pid, std::uint64_t ctx, const char* op,
 /// rather than check_life because point-to-point drains of the stale
 /// handles (and their frees) remain sanctioned after the handoff.
 void check_handoff(const Shadow& s, ProcId pid, std::uint64_t ctx, const char* op,
-                   const char* file, int line) {
+                   const std::source_location& at) {
   if (!s.superseded) return;
   std::fprintf(stderr,
                "ftmpi-psan: use-after-handoff: %s on pre-handoff comm ctx %" PRIu64
@@ -150,37 +147,37 @@ void check_handoff(const Shadow& s, ProcId pid, std::uint64_t ctx, const char* o
                "(repair epoch %" PRIu64 "); collectives must run on the repaired "
                "world — only buffered drains and frees of the superseded handles "
                "remain legitimate\n",
-               op, ctx, pid, file, line, s.handoff_event.file, s.handoff_event.line,
-               s.handoff_epoch);
+               op, ctx, pid, at.file_name(), line_of(at), s.handoff_event.at.file_name(),
+               line_of(s.handoff_event.at), s.handoff_epoch);
   die();
 }
 
 }  // namespace
 
-void on_use(const Comm& c, const char* op, const char* file, int line) {
+void on_use(const Comm& c, const char* op, std::source_location at) {
   ProcessState* ps = Runtime::current();
   if (ps == nullptr || c.is_null()) return;
   const std::uint64_t ctx = c.context()->id;
   std::lock_guard<std::mutex> lock(g_mu);
   Shadow& s = g_shadow[{ps->rt, ps->pid, ctx}];
-  check_life(s, ps->pid, ctx, op, file, line);
+  check_life(s, ps->pid, ctx, op, at);
 }
 
-void on_collective(const Comm& c, const char* op, int root, const char* file, int line) {
+void on_collective(const Comm& c, const char* op, int root, std::source_location at) {
   ProcessState* ps = Runtime::current();
   if (ps == nullptr || c.is_null()) return;
   const std::uint64_t ctx = c.context()->id;
   std::lock_guard<std::mutex> lock(g_mu);
   Shadow& s = g_shadow[{ps->rt, ps->pid, ctx}];
-  check_life(s, ps->pid, ctx, op, file, line);
-  check_handoff(s, ps->pid, ctx, op, file, line);
+  check_life(s, ps->pid, ctx, op, at);
+  check_handoff(s, ps->pid, ctx, op, at);
   s.hash = fnv_bytes(s.hash, op, std::strlen(op) + 1);
   s.hash = fnv_bytes(s.hash, &root, sizeof(root));
   ++s.count;
-  record(s, OpRec{op, file, line, root, s.count});
+  record(s, OpRec{op, at, root, s.count});
 }
 
-void on_revoke_observed(const Comm& c, const char* op, bool self, const char* file, int line) {
+void on_revoke_observed(const Comm& c, const char* op, bool self, std::source_location at) {
   ProcessState* ps = Runtime::current();
   if (ps == nullptr || c.is_null()) return;
   std::lock_guard<std::mutex> lock(g_mu);
@@ -189,12 +186,12 @@ void on_revoke_observed(const Comm& c, const char* op, bool self, const char* fi
   // diagnostic should cite the revoke call, not the error return.
   if (!s.revoke_observed || (self && !s.self_revoked)) {
     s.revoke_observed = true;
-    s.revoke_event = OpRec{op, file, line, -1, s.count};
+    s.revoke_event = OpRec{op, at, -1, s.count};
   }
   if (self) s.self_revoked = true;
 }
 
-void on_free(const Comm& c, const char* file, int line) {
+void on_free(const Comm& c, std::source_location at) {
   ProcessState* ps = Runtime::current();
   if (ps == nullptr || c.is_null()) return;
   const std::uint64_t ctx = c.context()->id;
@@ -204,11 +201,12 @@ void on_free(const Comm& c, const char* file, int line) {
     std::fprintf(stderr,
                  "ftmpi-psan: double-free of comm ctx %" PRIu64 " by pid %d (%s:%d); "
                  "first freed at %s:%d\n",
-                 ctx, ps->pid, file, line, s.free_event.file, s.free_event.line);
+                 ctx, ps->pid, at.file_name(), line_of(at), s.free_event.at.file_name(),
+                 line_of(s.free_event.at));
     die();
   }
   s.freed = true;
-  s.free_event = OpRec{"comm_free", file, line, -1, s.count};
+  s.free_event = OpRec{"comm_free", at, -1, s.count};
 }
 
 std::uint64_t stream_hash(const Comm& c) {
@@ -271,7 +269,7 @@ void verify_at_agree(const Comm& c, const Group& g, const std::vector<AgreeRepor
   die();
 }
 
-void on_overlap_split(const Comm& side, std::uint64_t epoch, const char* file, int line) {
+void on_overlap_split(const Comm& side, std::uint64_t epoch, std::source_location at) {
   ProcessState* ps = Runtime::current();
   if (ps == nullptr || side.is_null()) return;
   const std::uint64_t ctx = side.context()->id;
@@ -281,10 +279,10 @@ void on_overlap_split(const Comm& side, std::uint64_t epoch, const char* file, i
   // then, so superseding it at a later handoff is harmless).
   g_overlap[{ps->rt, ps->pid}] = OverlapRec{ctx, epoch};
   Shadow& s = g_shadow[{ps->rt, ps->pid, ctx}];
-  record(s, OpRec{"overlap_split", file, line, -1, s.count});
+  record(s, OpRec{"overlap_split", at, -1, s.count});
 }
 
-void on_handoff(const Comm& old_world, std::uint64_t epoch, const char* file, int line) {
+void on_handoff(const Comm& old_world, std::uint64_t epoch, std::source_location at) {
   ProcessState* ps = Runtime::current();
   if (ps == nullptr || old_world.is_null()) return;
   const std::uint64_t ctx = old_world.context()->id;
@@ -292,7 +290,7 @@ void on_handoff(const Comm& old_world, std::uint64_t epoch, const char* file, in
   Shadow& s = g_shadow[{ps->rt, ps->pid, ctx}];
   s.superseded = true;
   s.handoff_epoch = epoch;
-  s.handoff_event = OpRec{"overlap_handoff", file, line, -1, s.count};
+  s.handoff_event = OpRec{"overlap_handoff", at, -1, s.count};
   const auto it = g_overlap.find({ps->rt, ps->pid});
   if (it != g_overlap.end()) {
     // The side comm of the acked attempt dies with the old world: the
@@ -301,7 +299,7 @@ void on_handoff(const Comm& old_world, std::uint64_t epoch, const char* file, in
     Shadow& side = g_shadow[{ps->rt, ps->pid, it->second.side_ctx}];
     side.superseded = true;
     side.handoff_epoch = epoch;
-    side.handoff_event = OpRec{"overlap_handoff", file, line, -1, side.count};
+    side.handoff_event = OpRec{"overlap_handoff", at, -1, side.count};
     g_overlap.erase(it);
   }
 }
@@ -324,4 +322,3 @@ void on_runtime_destroyed(const void* rt) {
 
 }  // namespace ftmpi::psan
 
-#endif  // FTR_PSAN

@@ -1,5 +1,6 @@
 #pragma once
-// Protocol sanitizer (FTR_SANITIZE=protocol, compile definition FTR_PSAN).
+// Protocol sanitizer (runtime checker `protocol`, selected per Runtime with
+// FTR_CHECK=protocol).
 //
 // A runtime cross-check for the invariants ftlint enforces statically
 // (FTL005 collective matching, FTL006 communicator lifecycle).  Because the
@@ -34,11 +35,13 @@
 //     resets every member's stream while they are still blocked waiting for
 //     the agree reply, so the next window starts aligned.
 //
-// Everything here compiles to nothing unless FTR_PSAN is defined; the
-// instrumentation macros below keep the hot paths free of even argument
-// evaluation in normal builds.
+// Compiled into every build but off unless selected: each call site tests
+// Runtime::checks().protocol first, so an unselected run pays one branch per
+// hook and never evaluates the hook's arguments.  Call sites are recorded
+// through the defaulted std::source_location parameters.
 
 #include <cstdint>
+#include <source_location>
 #include <vector>
 
 #include "ftmpi/types.hpp"
@@ -50,9 +53,9 @@ struct Group;
 
 namespace psan {
 
-/// Wire format of the agree uplink under FTR_PSAN (replaces the plain int
-/// flag).  Trivially copyable; both sides of the protocol are compiled with
-/// the same FTR_PSAN setting, so the payload layout always matches.
+/// Wire format of the linear agree uplink while the checker is selected
+/// (replaces the plain int flag).  Trivially copyable; the selection is fixed
+/// per Runtime, so both sides of the protocol always agree on the layout.
 struct AgreeWire {
   int flag = 0;
   int pad = 0;
@@ -68,26 +71,27 @@ struct AgreeReport {
   std::uint64_t epoch = 0;
 };
 
-#ifdef FTR_PSAN
-
 /// Lifecycle check for a non-sanctioned operation on `c`.  Aborts with a
 /// diagnostic if this rank itself revoked the context earlier.  No-op off
 /// rank threads and for null comms.
-void on_use(const Comm& c, const char* op, const char* file, int line);
+void on_use(const Comm& c, const char* op,
+            std::source_location at = std::source_location::current());
 
 /// on_use plus an append of (op, root) to this rank's collective stream on
 /// the context.  Every collective entry point calls this once, before any
 /// early return, so a rank that enters is a rank that is counted.
-void on_collective(const Comm& c, const char* op, int root, const char* file, int line);
+void on_collective(const Comm& c, const char* op, int root,
+                   std::source_location at = std::source_location::current());
 
 /// Record that the calling rank observed the revocation of `c`.  `self` is
 /// true when the rank revoked the context itself (which arms the strict
 /// salvage-set check) and false for a passive observation (an operation
 /// returned kErrRevoked; recorded for diagnostics only).
-void on_revoke_observed(const Comm& c, const char* op, bool self, const char* file, int line);
+void on_revoke_observed(const Comm& c, const char* op, bool self,
+                        std::source_location at = std::source_location::current());
 
 /// Record a comm_free of `c` by the calling rank.  Aborts on double-free.
-void on_free(const Comm& c, const char* file, int line);
+void on_free(const Comm& c, std::source_location at = std::source_location::current());
 
 /// This rank's current stream hash on `c` (for the agree uplink).
 std::uint64_t stream_hash(const Comm& c);
@@ -108,7 +112,8 @@ void verify_at_agree(const Comm& c, const Group& g, const std::vector<AgreeRepor
 /// rank (the continuation sub-communicator, or the repair group's comm) and
 /// the doorbell epoch the attempt was armed under.  The recorded context is
 /// superseded together with the pre-handoff world once on_handoff fires.
-void on_overlap_split(const Comm& side, std::uint64_t epoch, const char* file, int line);
+void on_overlap_split(const Comm& side, std::uint64_t epoch,
+                      std::source_location at = std::source_location::current());
 
 /// The calling rank acked the repaired-world doorbell: mark the pre-handoff
 /// world `old_world` (and the side context recorded by on_overlap_split, if
@@ -117,40 +122,14 @@ void on_overlap_split(const Comm& side, std::uint64_t epoch, const char* file, i
 /// drains and frees stay allowed — dropping the old handles after the
 /// handoff is the documented idiom, issuing collectives on them is the bug
 /// (half the job lands on a world nobody else is in any more).
-void on_handoff(const Comm& old_world, std::uint64_t epoch, const char* file, int line);
+void on_handoff(const Comm& old_world, std::uint64_t epoch,
+                std::source_location at = std::source_location::current());
 
 /// Drop every shadow entry belonging to `rt`.  Called from ~Runtime: pids
 /// and context ids both restart per Runtime instance (and stack-allocated
 /// Runtimes can reuse the same address), so stale entries would otherwise
 /// bleed observations and stream hashes into the next simulated cluster.
 void on_runtime_destroyed(const void* rt);
-
-#define FTR_PSAN_USE(c, op) ::ftmpi::psan::on_use((c), (op), __FILE__, __LINE__)
-#define FTR_PSAN_COLLECTIVE(c, op, root) \
-  ::ftmpi::psan::on_collective((c), (op), (root), __FILE__, __LINE__)
-#define FTR_PSAN_REVOKE_OBSERVED(c, op) \
-  ::ftmpi::psan::on_revoke_observed((c), (op), false, __FILE__, __LINE__)
-#define FTR_PSAN_SELF_REVOKE(c, op) \
-  ::ftmpi::psan::on_revoke_observed((c), (op), true, __FILE__, __LINE__)
-#define FTR_PSAN_FREE(c) ::ftmpi::psan::on_free((c), __FILE__, __LINE__)
-#define FTR_PSAN_OVERLAP_SPLIT(c, epoch) \
-  ::ftmpi::psan::on_overlap_split((c), (epoch), __FILE__, __LINE__)
-#define FTR_PSAN_HANDOFF(oldc, epoch) \
-  ::ftmpi::psan::on_handoff((oldc), (epoch), __FILE__, __LINE__)
-#define FTR_PSAN_RUNTIME_DESTROYED(rt) ::ftmpi::psan::on_runtime_destroyed((rt))
-
-#else
-
-#define FTR_PSAN_USE(c, op) ((void)0)
-#define FTR_PSAN_COLLECTIVE(c, op, root) ((void)0)
-#define FTR_PSAN_REVOKE_OBSERVED(c, op) ((void)0)
-#define FTR_PSAN_SELF_REVOKE(c, op) ((void)0)
-#define FTR_PSAN_FREE(c) ((void)0)
-#define FTR_PSAN_OVERLAP_SPLIT(c, epoch) ((void)0)
-#define FTR_PSAN_HANDOFF(oldc, epoch) ((void)0)
-#define FTR_PSAN_RUNTIME_DESTROYED(rt) ((void)0)
-
-#endif  // FTR_PSAN
 
 }  // namespace psan
 }  // namespace ftmpi

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
+#include <string_view>
 
 #include "common/annotations.hpp"
 #include "common/logging.hpp"
@@ -15,11 +17,36 @@ namespace ftmpi {
 namespace {
 FTR_PER_RANK("becomes the fiber scheduler's current-task pointer, swapped on every context switch")
 thread_local ProcessState* tls_proc = nullptr;
+
+/// Parse FTR_CHECK.  A misspelt checker name must not silently run the
+/// suite unchecked, so any unknown name throws.
+Runtime::Checks parse_checks(const char* env) {
+  Runtime::Checks checks;
+  std::string_view rest = env != nullptr ? env : "";
+  while (!rest.empty()) {
+    const std::size_t comma = rest.find(',');
+    const std::string_view name = rest.substr(0, comma);
+    rest = comma == std::string_view::npos ? std::string_view{} : rest.substr(comma + 1);
+    if (name == "protocol") {
+      checks.protocol = true;
+    } else if (name == "vtsan") {
+      checks.vtsan = true;
+    } else if (name == "deadlock") {
+      checks.deadlock = true;
+    } else if (!name.empty()) {
+      throw std::invalid_argument("FTR_CHECK: unknown checker '" + std::string(name) +
+                                  "' (expected a comma-separated subset of "
+                                  "protocol,vtsan,deadlock)");
+    }
+  }
+  return checks;
+}
 }  // namespace
 
 ProcessState* Runtime::current() { return tls_proc; }
 
-Runtime::Runtime(Options opt) : opt_(std::move(opt)) {
+Runtime::Runtime(Options opt)
+    : opt_(std::move(opt)), checks_(parse_checks(std::getenv("FTR_CHECK"))) {
   if (opt_.slots_per_host <= 0) opt_.slots_per_host = 1;
   if (const char* env = std::getenv("FTR_TRACE"); env != nullptr && env[0] == '1') {
     trace_.enable();
@@ -60,10 +87,10 @@ Runtime::~Runtime() {
   }
   for (std::thread* t : to_join) t->join();
   // Pids and context ids restart per Runtime (and stack Runtimes can reuse
-  // an address), so the sanitizers must forget this instance.
-  FTR_PSAN_RUNTIME_DESTROYED(this);
-  FTR_VTSAN_RUNTIME_DESTROYED(this);
-  FTR_DLSAN_RUNTIME_DESTROYED(this);
+  // an address), so the checkers must forget this instance.
+  if (checks_.protocol) psan::on_runtime_destroyed(this);
+  if (checks_.vtsan) vtsan::on_runtime_destroyed(this);
+  if (checks_.deadlock) dlsan::on_runtime_destroyed(this);
 }
 
 void Runtime::register_app(const std::string& name, EntryFn entry) {
@@ -137,20 +164,21 @@ std::pair<int, int> Runtime::allocate_slot_locked(int preferred_host) {
 }
 
 void Runtime::fail_host(int host) {
-  std::vector<ProcId> victims;
+  // The residents die in the same critical section that marks the host
+  // failed: nobody can observe host_failed(host) while one still runs.
+  std::vector<ProcessState*> victims;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (host < 0 || static_cast<size_t>(host) >= hosts_.size()) return;
     host_failed_[static_cast<size_t>(host)] = true;
     for (const auto& ps : procs_) {
-      if (ps->host == host && !ps->dead.load() && !ps->finished.load()) {
-        victims.push_back(ps->pid);
-      }
+      if (ps->host != host) continue;
+      if (ProcessState* v = mark_dead_locked(ps->pid)) victims.push_back(v);
     }
   }
   FTR_INFO("ftmpi: node failure on host %d kills %zu processes", host, victims.size());
   trace_.record(0.0, kNullProc, TraceEvent::HostFail, host);
-  for (ProcId pid : victims) kill(pid);
+  for (ProcessState* v : victims) announce_kill(v);
 }
 
 bool Runtime::host_failed(int host) const {
@@ -185,7 +213,7 @@ ProcId Runtime::create_process(const std::string& app, std::vector<std::string> 
   // Registered before any thread exists: run() creates the whole world
   // before starting rank 0, so the deadlock sanitizer never mistakes a
   // not-yet-started peer for an absent one.
-  FTR_DLSAN_PROC_CREATED(this, procs_.back().get());
+  if (checks_.deadlock) dlsan::on_proc_created(this, procs_.back().get());
   return procs_.back()->pid;
 }
 
@@ -197,7 +225,7 @@ void Runtime::release_unstarted(ProcId pid) {
   ps.dead.store(true);
   ps.finished.store(true);
   hosts_[static_cast<size_t>(ps.host)][static_cast<size_t>(ps.slot)] = false;
-  FTR_DLSAN_PROC_RELEASED(this, pid);
+  if (checks_.deadlock) dlsan::on_proc_released(this, pid);
 }
 
 void Runtime::start_process(ProcId pid) {
@@ -210,14 +238,14 @@ void Runtime::start_process(ProcId pid) {
   ps->started.store(true);
   // The creator's clock (or the driver clock) is what the new rank starts
   // from: spawn is a happens-before edge.
-  FTR_VTSAN_SPAWN(this, pid);
+  if (checks_.vtsan) vtsan::on_spawn(this, pid);
   ps->thread = std::thread([this, ps] { thread_main(ps); });
 }
 
 void Runtime::thread_main(ProcessState* ps) {
   tls_proc = ps;
-  FTR_VTSAN_THREAD_START();
-  FTR_DLSAN_THREAD_START();
+  if (checks_.vtsan) vtsan::on_thread_start();
+  if (checks_.deadlock) dlsan::on_thread_start();
   EntryFn entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -244,7 +272,7 @@ void Runtime::thread_main(ProcessState* ps) {
   }
   done_cv_.notify_all();
   // Peers blocked on this process must re-evaluate their wait predicates.
-  FTR_DLSAN_THREAD_EXIT();
+  if (checks_.deadlock) dlsan::on_thread_exit();
   notify_all_procs();
   tls_proc = nullptr;
 }
@@ -303,22 +331,32 @@ int Runtime::run(const std::string& app, int world_size, std::vector<std::string
   for (std::thread* t : to_join) t->join();
   // Fold every rank clock into the driver clock so the next run() on this
   // runtime is ordered after this one (blackboard keys are often reused).
-  FTR_VTSAN_RUN_COMPLETE(this);
+  if (checks_.vtsan) vtsan::on_run_complete(this);
   return killed_.load() - killed_before;
+}
+
+ProcessState* Runtime::mark_dead_locked(ProcId pid) {
+  if (pid < 0 || static_cast<size_t>(pid) >= procs_.size()) return nullptr;
+  ProcessState* ps = procs_[static_cast<size_t>(pid)].get();
+  if (ps->dead.load() || ps->finished.load()) return nullptr;
+  ps->dead.store(true);
+  // Free the host slot so repair can re-spawn on the same node, which is
+  // exactly the paper's load-balancing strategy.
+  hosts_[static_cast<size_t>(ps->host)][static_cast<size_t>(ps->slot)] = false;
+  return ps;
 }
 
 void Runtime::kill(ProcId pid) {
   ProcessState* ps = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (pid < 0 || static_cast<size_t>(pid) >= procs_.size()) return;
-    ps = procs_[static_cast<size_t>(pid)].get();
-    if (ps->dead.load() || ps->finished.load()) return;
-    ps->dead.store(true);
-    // Free the host slot so repair can re-spawn on the same node, which is
-    // exactly the paper's load-balancing strategy.
-    hosts_[static_cast<size_t>(ps->host)][static_cast<size_t>(ps->slot)] = false;
+    ps = mark_dead_locked(pid);
   }
+  if (ps != nullptr) announce_kill(ps);
+}
+
+void Runtime::announce_kill(ProcessState* ps) {
+  const ProcId pid = ps->pid;
   killed_.fetch_add(1);
   failure_epoch_.fetch_add(1);
   membership_epoch_.fetch_add(1);
@@ -393,14 +431,16 @@ std::shared_ptr<CommContext> Runtime::create_context(Group local, Group remote, 
   std::lock_guard<std::mutex> lock(ctx_mu_);
   ctx->id = next_ctx_++;
   contexts_[ctx->id] = ctx;
-  FTR_VTSAN_WRITE("comm context", std::to_string(ctx->id));
+  if (checks_.vtsan) vtsan::on_access(/*is_write=*/true, "comm context", std::to_string(ctx->id));
   return ctx;
 }
 
 std::shared_ptr<CommContext> Runtime::find_context(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(ctx_mu_);
   const auto it = contexts_.find(id);
-  if (it != contexts_.end()) FTR_VTSAN_READ("comm context", std::to_string(id));
+  if (checks_.vtsan && it != contexts_.end()) {
+    vtsan::on_access(/*is_write=*/false, "comm context", std::to_string(id));
+  }
   return it == contexts_.end() ? nullptr : it->second;
 }
 
@@ -415,7 +455,7 @@ const ProcessState& Runtime::proc(ProcId pid) const {
 }
 
 void Runtime::deliver(ProcId dst, Message msg) {
-  FTR_VTSAN_STAMP(msg);
+  if (checks_.vtsan) vtsan::stamp_send(msg);
   ProcessState* ps = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -430,12 +470,12 @@ void Runtime::deliver(ProcId dst, Message msg) {
     }
     ps->mailbox.push_back(std::move(msg));
   }
-  FTR_DLSAN_WAKE(this, dst);
+  if (checks_.deadlock) dlsan::on_wake(this, dst);
   ps->cv.notify_all();
 }
 
 void Runtime::notify_all_procs() {
-  FTR_DLSAN_NOTIFY_ALL(this);
+  if (checks_.deadlock) dlsan::on_notify_all(this);
   std::vector<ProcessState*> all;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -460,7 +500,7 @@ void Runtime::record_message(std::size_t bytes, bool cross_host) {
 }
 
 void Runtime::put(const std::string& key, double value) {
-  FTR_VTSAN_WRITE("blackboard key", key);
+  if (checks_.vtsan) vtsan::on_access(/*is_write=*/true, "blackboard key", key);
   std::lock_guard<std::mutex> lock(results_mu_);
   results_[key] = value;
 }
@@ -473,7 +513,7 @@ void Runtime::add(const std::string& key, double value) {
 }
 
 double Runtime::get(const std::string& key, double fallback) const {
-  FTR_VTSAN_READ("blackboard key", key);
+  if (checks_.vtsan) vtsan::on_access(/*is_write=*/false, "blackboard key", key);
   std::lock_guard<std::mutex> lock(results_mu_);
   const auto it = results_.find(key);
   return it == results_.end() ? fallback : it->second;

@@ -38,6 +38,9 @@ namespace ftmpi {
 /// matched by exact (context, tag, source pid); user point-to-point
 /// messages by (context, tag-or-any, source-rank-or-any, side).
 struct Message {
+  /// A vector clock: per-ProcId event counters (the vtsan checker's).
+  using VClock = std::map<ProcId, std::uint64_t>;
+
   std::uint64_t ctx = 0;
   int tag = 0;
   ProcId src_pid = kNullProc;
@@ -46,11 +49,10 @@ struct Message {
   bool ctrl = false;
   std::vector<std::byte> payload;
   double arrive = 0.0;  ///< virtual arrival time at the destination
-#ifdef FTR_VTSAN
-  /// Sender's vector clock at deliver() time; joined into the receiver's
+  /// Sender's vector clock at deliver() time, joined into the receiver's
   /// clock at extraction (the vtsan happens-before edge for messages).
-  std::map<ProcId, std::uint64_t> vt;
-#endif
+  /// Null unless the vtsan checker is selected.
+  std::unique_ptr<const VClock> vt;
 };
 
 class Runtime;
@@ -115,6 +117,16 @@ class Runtime {
     /// protocols; combined with FTR_DETECTOR=off that is bit-for-bit the
     /// pre-detector runtime.
     bool tree_protocols = true;
+  };
+
+  /// Runtime checkers, chosen per Runtime by FTR_CHECK (a comma-separated
+  /// subset of protocol,vtsan,deadlock; unset or empty selects none) at
+  /// construction.  Every hook into psan.hpp, vtsan.hpp and dlsan.hpp is
+  /// guarded by its flag, so an unselected checker costs one branch.
+  struct Checks {
+    bool protocol = false;  ///< psan: communicator lifecycle + collective streams
+    bool vtsan = false;     ///< virtual-time happens-before tracker
+    bool deadlock = false;  ///< dlsan: virtual-time wait-for graph
   };
 
   /// Entry point of a simulated MPI application; runs on each rank thread.
@@ -186,6 +198,8 @@ class Runtime {
   [[nodiscard]] Stats stats() const;
   void record_message(std::size_t bytes, bool cross_host);
 
+  [[nodiscard]] const Checks& checks() const { return checks_; }
+
   /// Event trace (off by default; FTR_TRACE=1 enables it at construction).
   [[nodiscard]] Trace& trace() { return trace_; }
   [[nodiscard]] const Trace& trace() const { return trace_; }
@@ -247,6 +261,10 @@ class Runtime {
 
  private:
   void thread_main(ProcessState* ps);
+  /// Mark `pid` dead and free its slot (mu_ held); nullptr if it already
+  /// died or finished.  announce_kill() then publishes the death.
+  ProcessState* mark_dead_locked(ProcId pid);
+  void announce_kill(ProcessState* ps);
   /// Find/extend a host with a free slot; returns {host, slot}.  mu_ held.
   std::pair<int, int> allocate_slot_locked(int preferred_host);
   void dump_state() const;
@@ -278,6 +296,10 @@ class Runtime {
   ChaosHook chaos_hook_;
 
   Trace trace_;
+  // Last on purpose: a field inserted between opt_ and mu_ moves the hot
+  // runtime mutex onto another cache line, which cost ~10% CPU on a
+  // 608-rank failure-free run (4 cores).
+  Checks checks_;
 };
 
 }  // namespace ftmpi

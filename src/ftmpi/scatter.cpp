@@ -13,7 +13,7 @@ int scatter_bytes(const void* send, std::size_t per_rank, void* recv, int root,
   detail::check_alive();
   if (c.is_null() || c.is_inter()) return kErrComm;
   if (root < 0 || root >= c.size()) return finish(c, kErrArg);
-  FTR_PSAN_COLLECTIVE(c, "scatter_bytes", root);
+  if (detail::rt().checks().protocol) psan::on_collective(c, "scatter_bytes", root);
   if (c.is_revoked()) return finish(c, kErrRevoked);
 
   const std::uint64_t id = c.context()->id;
@@ -49,7 +49,7 @@ int scatterv_bytes(const std::vector<std::vector<std::byte>>& parts,
   detail::check_alive();
   if (c.is_null() || c.is_inter()) return kErrComm;
   if (root < 0 || root >= c.size()) return finish(c, kErrArg);
-  FTR_PSAN_COLLECTIVE(c, "scatterv_bytes", root);
+  if (detail::rt().checks().protocol) psan::on_collective(c, "scatterv_bytes", root);
   if (c.is_revoked()) return finish(c, kErrRevoked);
 
   const std::uint64_t id = c.context()->id;

@@ -29,7 +29,7 @@ int comm_spawn_multiple(const std::vector<SpawnUnit>& units, int root, const Com
   *intercomm = Comm{};
   if (c.is_null() || c.is_inter()) return kErrComm;
   if (root < 0 || root >= c.size()) return finish(c, kErrArg);
-  FTR_PSAN_COLLECTIVE(c, "comm_spawn_multiple", root);
+  if (detail::rt().checks().protocol) psan::on_collective(c, "comm_spawn_multiple", root);
 
   Runtime& r = detail::rt();
   const std::uint64_t id = c.context()->id;
@@ -136,7 +136,7 @@ int intercomm_merge(const Comm& inter, bool high, Comm* out) {
   chaos_point("merge");
   *out = Comm{};
   if (inter.is_null() || !inter.is_inter()) return kErrComm;
-  FTR_PSAN_COLLECTIVE(inter, "intercomm_merge", -1);
+  if (detail::rt().checks().protocol) psan::on_collective(inter, "intercomm_merge", -1);
 
   Runtime& r = detail::rt();
   const std::uint64_t id = inter.context()->id;

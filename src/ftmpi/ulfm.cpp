@@ -26,7 +26,7 @@ int comm_revoke(const Comm& c) {
   detail::check_alive();
   if (c.is_null()) return kErrComm;
   // The revoker observes its own revocation immediately.
-  FTR_PSAN_SELF_REVOKE(c, "comm_revoke");
+  if (detail::rt().checks().protocol) psan::on_revoke_observed(c, "comm_revoke", true);
   c.context()->revoked.store(true);
   // Wake every blocked process so operations pending on this communicator
   // observe the revocation.  (A real implementation floods a revoke token;
@@ -109,8 +109,8 @@ struct TreeAgreeEntry {
   std::int32_t pid;
   std::int32_t flag;
   std::int32_t pad;
-  std::uint64_t hash;   ///< psan collective-stream hash (0 without FTR_PSAN)
-  std::uint64_t epoch;  ///< psan epoch (0 without FTR_PSAN)
+  std::uint64_t hash;   ///< psan collective-stream hash (0 unless selected)
+  std::uint64_t epoch;  ///< psan epoch (0 unless selected)
 };
 
 struct TreeAgreeDownHead {
@@ -146,6 +146,7 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
   CommContext* ctx = c.context();
   const ProcessState& me = detail::self();
   const CostModel& cm = detail::rt().cost();
+  const bool psan_on = detail::rt().checks().protocol;
   const std::int64_t round = c.local().agree_round;
   const int max_attempts = 4 * g.size() + 8;
 
@@ -203,12 +204,8 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
 
     // -- reduction up: collect the subtree's entries -------------------------
     std::vector<TreeAgreeEntry> entries;
-#ifdef FTR_PSAN
     entries.push_back({live[static_cast<size_t>(mi)], me.pid, *flag, 0,
-                       psan::stream_hash(c), psan::current_epoch()});
-#else
-    entries.push_back({live[static_cast<size_t>(mi)], me.pid, *flag, 0, 0, 0});
-#endif
+                       psan_on ? psan::stream_hash(c) : 0, psan_on ? psan::current_epoch() : 0});
     bool restart = false;
     for (int k = 1; k <= 2 && !restart; ++k) {
       const std::size_t ci = 2 * static_cast<size_t>(mi) + static_cast<size_t>(k);
@@ -310,16 +307,16 @@ int agree_tree(const Comm& c, int* flag, const Group& g) {
       int agreed = ~0;
       for (const TreeAgreeEntry& e : entries) agreed &= e.flag;
       const std::vector<ProcId> dead = detail::rt().dead_members(g);
-#ifdef FTR_PSAN
-      // Same contract as the linear coordinator: every contributor is still
-      // blocked on the verdict, so its stream cannot advance under us.
-      std::vector<psan::AgreeReport> reports;
-      reports.reserve(entries.size());
-      for (const TreeAgreeEntry& e : entries) {
-        reports.push_back({e.rank, e.pid, e.hash, e.epoch});
+      if (psan_on) {
+        // Same contract as the linear coordinator: every contributor is still
+        // blocked on the verdict, so its stream cannot advance under us.
+        std::vector<psan::AgreeReport> reports;
+        reports.reserve(entries.size());
+        for (const TreeAgreeEntry& e : entries) {
+          reports.push_back({e.rank, e.pid, e.hash, e.epoch});
+        }
+        psan::verify_at_agree(c, g, reports, dead.empty());
       }
-      psan::verify_at_agree(c, g, reports, dead.empty());
-#endif
       // Publish the verdict *before* flooding it, so a subtree orphaned by
       // a relay death can adopt it instead of waiting on peers that have
       // already returned.
@@ -448,6 +445,10 @@ int comm_agree(const Comm& c, int* flag) {
   }
   if (detail::rt().options().tree_protocols) return agree_tree(c, flag, g);
   const ProcessState& me = detail::self();
+  // With the protocol checker selected the uplink carries psan::AgreeWire
+  // instead of the bare flag; the selection is runtime-wide, so every
+  // member agrees on the layout.
+  const bool psan_on = detail::rt().checks().protocol;
 
   for (int attempt = 0; attempt <= g.size(); ++attempt) {
     const std::vector<int> live = live_ranks(g);
@@ -457,33 +458,31 @@ int comm_agree(const Comm& c, int* flag) {
     if (coord == me.pid) {
       int agreed = *flag;
       std::vector<int> confirmed{live[0]};
-#ifdef FTR_PSAN
       std::vector<psan::AgreeReport> reports;
-      reports.push_back({live[0], me.pid, psan::stream_hash(c), psan::current_epoch()});
-#endif
+      if (psan_on) {
+        reports.push_back({live[0], me.pid, psan::stream_hash(c), psan::current_epoch()});
+      }
       for (size_t i = 1; i < live.size(); ++i) {
         const ProcId p = g.pids[static_cast<size_t>(live[i])];
         std::vector<std::byte> payload;
         if (detail::ctrl_recv(p, id, tags::kAgreeUp, &payload) == kSuccess) {
-#ifdef FTR_PSAN
-          const auto up = detail::unpack<psan::AgreeWire>(payload);
-          agreed &= up.flag;
-          reports.push_back({live[i], p, up.hash, up.epoch});
-#else
-          agreed &= detail::unpack<int>(payload);
-#endif
+          if (psan_on) {
+            const auto up = detail::unpack<psan::AgreeWire>(payload);
+            agreed &= up.flag;
+            reports.push_back({live[i], p, up.hash, up.epoch});
+          } else {
+            agreed &= detail::unpack<int>(payload);
+          }
           confirmed.push_back(live[i]);
         }
       }
       detail::charge_coordinator_rounds(2, static_cast<int>(confirmed.size()));
 
       const std::vector<ProcId> dead = detail::rt().dead_members(g);
-#ifdef FTR_PSAN
       // Verify (and on success reset) the collective streams before any
       // reply goes out: every confirmed member is still blocked on the
       // verdict, so its stream cannot advance under us.
-      psan::verify_at_agree(c, g, reports, dead.empty());
-#endif
+      if (psan_on) psan::verify_at_agree(c, g, reports, dead.empty());
       std::vector<std::byte> reply(sizeof(AgreeReply) + dead.size() * sizeof(ProcId));
       const AgreeReply head{agreed, static_cast<int>(dead.size())};
       std::memcpy(reply.data(), &head, sizeof(head));
@@ -508,16 +507,14 @@ int comm_agree(const Comm& c, int* flag) {
       return kSuccess;
     }
 
-#ifdef FTR_PSAN
-    const psan::AgreeWire up{*flag, 0, psan::stream_hash(c), psan::current_epoch()};
-    if (detail::ctrl_send(coord, id, tags::kAgreeUp, &up, sizeof(up)) != kSuccess) {
-      continue;
+    int up_rc = kSuccess;
+    if (psan_on) {
+      const psan::AgreeWire up{*flag, 0, psan::stream_hash(c), psan::current_epoch()};
+      up_rc = detail::ctrl_send(coord, id, tags::kAgreeUp, &up, sizeof(up));
+    } else {
+      up_rc = detail::ctrl_send(coord, id, tags::kAgreeUp, flag, sizeof(*flag));
     }
-#else
-    if (detail::ctrl_send(coord, id, tags::kAgreeUp, flag, sizeof(*flag)) != kSuccess) {
-      continue;
-    }
-#endif
+    if (up_rc != kSuccess) continue;
     std::vector<std::byte> payload;
     if (detail::ctrl_recv(coord, id, tags::kAgreeDown, &payload) != kSuccess) {
       continue;

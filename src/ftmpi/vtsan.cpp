@@ -1,15 +1,12 @@
-// Virtual-time happens-before tracker (see vtsan.hpp).  Compiled into the
-// library only under FTR_SANITIZE=vtsan; otherwise this translation unit is
-// empty.
+// Virtual-time happens-before tracker (see vtsan.hpp).
 
 #include "ftmpi/vtsan.hpp"
-
-#ifdef FTR_VTSAN
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <utility>
 
@@ -21,14 +18,12 @@ namespace {
 
 /// A rank's vector clock: per-ProcId event counters.  Sparse map rather
 /// than a dense vector because spawn keeps growing the pid space mid-run.
-using VClock = std::map<ProcId, std::uint64_t>;
+using VClock = Message::VClock;
 
-/// One recorded access to an instrumented object.  `file` points at a
-/// string literal from the instrumentation site; `vtime` is the rank's
+/// One recorded access to an instrumented object.  `vtime` is the rank's
 /// simulated-seconds clock at the access, for diagnostics only.
 struct Site {
-  const char* file = nullptr;
-  int line = 0;
+  std::source_location at;
   double vtime = 0.0;
   std::uint64_t clock = 0;  ///< accessor's own clock component at the access
 };
@@ -73,7 +68,7 @@ void join_into(VClock& dst, const VClock& src) {
 /// "write-write" or "read-write"; `prev` is the earlier unordered access by
 /// `prev_rank`, `seen` that rank's component as the current rank knows it.
 [[noreturn]] void report_race(const char* label, const char* kind, const std::string& name,
-                              ProcId me, const char* file, int line, double my_vtime,
+                              ProcId me, const std::source_location& at, double my_vtime,
                               ProcId prev_rank, const Site& prev, std::uint64_t seen) {
   std::fprintf(stderr,
                "ftmpi-vtsan: %s race on %s '%s': pid %d access at %s:%d (vt %.6f) "
@@ -83,15 +78,16 @@ void join_into(VClock& dst, const VClock& src) {
                "serializes them only by OS-thread accident — a fiber scheduler "
                "interleaving ranks on one carrier thread could run them in "
                "either order\n",
-               label, kind, name.c_str(), me, file, line, my_vtime, prev_rank, prev.file,
-               prev.line, prev.vtime, prev_rank, seen, prev.clock);
+               label, kind, name.c_str(), me, at.file_name(), static_cast<int>(at.line()),
+               my_vtime, prev_rank, prev.at.file_name(), static_cast<int>(prev.at.line()),
+               prev.vtime, prev_rank, seen, prev.clock);
   die();
 }
 
 }  // namespace
 
-void on_access(bool is_write, const char* kind, const std::string& name, const char* file,
-               int line) {
+void on_access(bool is_write, const char* kind, const std::string& name,
+               std::source_location at) {
   ProcessState* ps = Runtime::current();
   if (ps == nullptr) return;
   std::lock_guard<std::mutex> lock(g_mu);
@@ -102,7 +98,7 @@ void on_access(bool is_write, const char* kind, const std::string& name, const c
   if (o.has_write && o.write_rank != ps->pid) {
     const std::uint64_t seen = component(my, o.write_rank);
     if (seen < o.write.clock) {
-      report_race(is_write ? "write-write" : "read-write", kind, name, ps->pid, file, line,
+      report_race(is_write ? "write-write" : "read-write", kind, name, ps->pid, at,
                   ps->vclock, o.write_rank, o.write, seen);
     }
   }
@@ -112,18 +108,17 @@ void on_access(bool is_write, const char* kind, const std::string& name, const c
       if (rd == ps->pid) continue;
       const std::uint64_t seen = component(my, rd);
       if (seen < site.clock) {
-        report_race("read-write", kind, name, ps->pid, file, line, ps->vclock, rd, site,
-                    seen);
+        report_race("read-write", kind, name, ps->pid, at, ps->vclock, rd, site, seen);
       }
     }
     o.has_write = true;
     o.write_rank = ps->pid;
-    o.write = Site{file, line, ps->vclock, now};
+    o.write = Site{at, ps->vclock, now};
     // The ordered reads are dominated by this write; later accesses need
     // only be ordered after the write.
     o.reads.clear();
   } else {
-    o.reads[ps->pid] = Site{file, line, ps->vclock, now};
+    o.reads[ps->pid] = Site{at, ps->vclock, now};
   }
 }
 
@@ -133,16 +128,16 @@ void stamp_send(Message& msg) {
   std::lock_guard<std::mutex> lock(g_mu);
   VClock& my = g_clocks[{ps->rt, ps->pid}];
   ++my[ps->pid];
-  msg.vt = my;
+  msg.vt = std::make_unique<const VClock>(my);
 }
 
 void join_receive(const Message& msg) {
   ProcessState* ps = Runtime::current();
-  if (ps == nullptr || msg.vt.empty()) return;
+  if (ps == nullptr || msg.vt == nullptr) return;
   std::lock_guard<std::mutex> lock(g_mu);
   VClock& my = g_clocks[{ps->rt, ps->pid}];
   ++my[ps->pid];
-  join_into(my, msg.vt);
+  join_into(my, *msg.vt);
 }
 
 void on_spawn(const void* rt, ProcId child) {
@@ -195,4 +190,3 @@ void on_runtime_destroyed(const void* rt) {
 
 }  // namespace ftmpi::vtsan
 
-#endif  // FTR_VTSAN

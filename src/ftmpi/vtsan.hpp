@@ -1,6 +1,6 @@
 #pragma once
-// Virtual-time happens-before sanitizer (FTR_SANITIZE=vtsan, compile
-// definition FTR_VTSAN).
+// Virtual-time happens-before sanitizer (runtime checker `vtsan`, selected
+// per Runtime with FTR_CHECK=vtsan).
 //
 // The runtime cross-check for ftlint's fiber-readiness rules
 // (FTL008-FTL010).  Those rules ask, statically, "which code still assumes
@@ -32,10 +32,12 @@
 // at the end of run(), inherited by the next run's processes), so
 // back-to-back runs that reuse a blackboard key stay silent.
 //
-// Everything here compiles to nothing unless FTR_VTSAN is defined; the
-// macros below keep the hot paths free of even argument evaluation in
-// normal builds.
+// Compiled into every build but off unless selected: each call site tests
+// Runtime::checks().vtsan first, so an unselected run pays one branch per
+// hook, never evaluates the hook's arguments, and sends every Message with
+// a null clock.
 
+#include <source_location>
 #include <string>
 
 #include "ftmpi/types.hpp"
@@ -46,13 +48,11 @@ struct Message;
 
 namespace vtsan {
 
-#ifdef FTR_VTSAN
-
 /// Record an access to the instrumented shared object (`kind`, `name`) by
 /// the calling rank; aborts with a pinned diagnostic when it conflicts with
 /// an earlier unordered access by another rank.  No-op off rank threads.
-void on_access(bool is_write, const char* kind, const std::string& name, const char* file,
-               int line);
+void on_access(bool is_write, const char* kind, const std::string& name,
+               std::source_location at = std::source_location::current());
 
 /// Tick the sender's clock and stamp a copy into `msg` (deliver()).
 void stamp_send(Message& msg);
@@ -77,30 +77,6 @@ void on_run_complete(const void* rt);
 /// Drop all state belonging to `rt` (~Runtime): pids and context ids
 /// restart per Runtime instance, and a stack address can be reused.
 void on_runtime_destroyed(const void* rt);
-
-#define FTR_VTSAN_WRITE(kind, name) \
-  ::ftmpi::vtsan::on_access(true, (kind), (name), __FILE__, __LINE__)
-#define FTR_VTSAN_READ(kind, name) \
-  ::ftmpi::vtsan::on_access(false, (kind), (name), __FILE__, __LINE__)
-#define FTR_VTSAN_STAMP(msg) ::ftmpi::vtsan::stamp_send((msg))
-#define FTR_VTSAN_JOIN(msg) ::ftmpi::vtsan::join_receive((msg))
-#define FTR_VTSAN_SPAWN(rt, child) ::ftmpi::vtsan::on_spawn((rt), (child))
-#define FTR_VTSAN_THREAD_START() ::ftmpi::vtsan::on_thread_start()
-#define FTR_VTSAN_RUN_COMPLETE(rt) ::ftmpi::vtsan::on_run_complete((rt))
-#define FTR_VTSAN_RUNTIME_DESTROYED(rt) ::ftmpi::vtsan::on_runtime_destroyed((rt))
-
-#else
-
-#define FTR_VTSAN_WRITE(kind, name) ((void)0)
-#define FTR_VTSAN_READ(kind, name) ((void)0)
-#define FTR_VTSAN_STAMP(msg) ((void)0)
-#define FTR_VTSAN_JOIN(msg) ((void)0)
-#define FTR_VTSAN_SPAWN(rt, child) ((void)0)
-#define FTR_VTSAN_THREAD_START() ((void)0)
-#define FTR_VTSAN_RUN_COMPLETE(rt) ((void)0)
-#define FTR_VTSAN_RUNTIME_DESTROYED(rt) ((void)0)
-
-#endif  // FTR_VTSAN
 
 }  // namespace vtsan
 }  // namespace ftmpi

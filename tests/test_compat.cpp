@@ -169,14 +169,14 @@ TEST(Compat, AllreduceBothTypes) {
 }
 
 TEST(Compat, RevokedCommReportsMpiErrRevoked) {
-#ifdef FTR_PSAN
-  // Deliberately barriers on a communicator this rank just revoked to check
-  // the reported error code — the FTL006 violation the protocol sanitizer
-  // aborts on (pinned by PsanDeath.UseAfterObservedRevokeAborts).
-  GTEST_SKIP() << "intentional use-after-revoke; aborts by design under "
-                  "FTR_SANITIZE=protocol";
-#endif
   Runtime rt;
+  if (rt.checks().protocol) {
+    // Deliberately barriers on a communicator this rank just revoked to
+    // check the reported error code — the FTL006 violation the protocol
+    // checker aborts on (pinned by PsanDeath.UseAfterObservedRevokeAborts).
+    GTEST_SKIP() << "intentional use-after-revoke; aborts by design under "
+                    "FTR_CHECK=protocol";
+  }
   std::atomic<int> code{0};
   rt.register_app("main", [&](const std::vector<std::string>&) {
     MPI_Comm comm = world();

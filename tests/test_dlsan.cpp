@@ -1,4 +1,4 @@
-// Tests for the virtual-time deadlock detector (FTR_SANITIZE=deadlock).
+// Tests for the virtual-time deadlock detector (FTR_CHECK=deadlock).
 //
 // The sanitizer is the dynamic cross-check for ftlint's message-flow rules
 // FTL011/FTL013: every blocking wait registers a descriptor in the real
@@ -7,9 +7,9 @@
 // positive tests pin that healthy exchanges, failure-observing waits and
 // sequential runs stay silent; the death tests seed the two stuck shapes —
 // a mutual-recv cycle and a wildcard probe nobody will ever feed — and
-// match their distinct pinned diagnostics.  Without FTR_DLSAN the whole
-// suite is a single explicit skip, so a plain build still registers (and
-// documents) the suite.
+// match their distinct pinned diagnostics.  The fixture selects the
+// checker for every Runtime a test builds, whatever FTR_CHECK the caller
+// set.
 
 #include <gtest/gtest.h>
 
@@ -20,19 +20,16 @@
 #include "ftmpi/api.hpp"
 #include "ftmpi/dlsan.hpp"
 #include "ftmpi/runtime.hpp"
-
-#ifndef FTR_DLSAN
-
-TEST(Dlsan, RequiresDlsanBuild) {
-  GTEST_SKIP() << "built without FTR_SANITIZE=deadlock; the virtual-time "
-                  "deadlock detector is compiled out";
-}
-
-#else
+#include "scoped_env.hpp"
 
 using namespace ftmpi;
 
 namespace {
+
+class Dlsan : public ::testing::Test {
+  ScopedEnv checks_{"FTR_CHECK", "deadlock"};
+};
+using DeadlockDeath = Dlsan;
 
 /// The death tests need the stuck state to be deterministic: the failure
 /// detector's heartbeats would both wake blocked ranks and (by design)
@@ -47,7 +44,7 @@ Runtime::Options quiet_opts() {
 
 }  // namespace
 
-TEST(Dlsan, OrderedExchangeStaysSilent) {
+TEST_F(Dlsan, OrderedExchangeStaysSilent) {
   // The paper's halo-swap idiom: one side sends before it receives, so
   // every blocking recv is fed and no registration ever closes a cycle.
   Runtime rt(quiet_opts());
@@ -69,7 +66,7 @@ TEST(Dlsan, OrderedExchangeStaysSilent) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Dlsan, HopelessWaitReturnsInsteadOfAborting) {
+TEST_F(Dlsan, HopelessWaitReturnsInsteadOfAborting) {
   // Rank 0 blocks on a peer that self-kills: the wait is hopeless, not a
   // deadlock — the peer's exit wakes rank 0, whose recv must return the
   // failure instead of tripping the detector.
@@ -88,7 +85,7 @@ TEST(Dlsan, HopelessWaitReturnsInsteadOfAborting) {
   EXPECT_EQ(observed.load(), 1);
 }
 
-TEST(Dlsan, SequentialRunsStaySilent) {
+TEST_F(Dlsan, SequentialRunsStaySilent) {
   // Registrations are keyed per Runtime instance and wiped between runs;
   // back-to-back runs (the bench-harness pattern) must not inherit stale
   // blocked facts from the previous world.
@@ -102,9 +99,7 @@ TEST(Dlsan, SequentialRunsStaySilent) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-using DeadlockDeath = ::testing::Test;
-
-TEST(DeadlockDeath, MutualRecvCycleAborts) {
+TEST_F(DeadlockDeath, MutualRecvCycleAborts) {
   // FTL011's seed shape, live: both ranks lead with a blocking recv of a
   // message the other will only send afterwards.  Each watches the other,
   // the wait-for graph closes a two-edge cycle, and the second
@@ -125,7 +120,7 @@ TEST(DeadlockDeath, MutualRecvCycleAborts) {
       "ftmpi-dlsan: deadlock cycle");
 }
 
-TEST(DeadlockDeath, WildcardProbeNoProgressAborts) {
+TEST_F(DeadlockDeath, WildcardProbeNoProgressAborts) {
   // FTL013's seed shape, live: rank 0 probes for a message that can come
   // from anyone, rank 1 blocks receiving from rank 0 — nobody will ever
   // send.  The probe watches no one, so no cycle closes through it; the
@@ -147,5 +142,3 @@ TEST(DeadlockDeath, WildcardProbeNoProgressAborts) {
       },
       "ftmpi-dlsan: no-progress");
 }
-
-#endif  // FTR_DLSAN

@@ -5,10 +5,12 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "ftmpi/api.hpp"
 #include "ftmpi/runtime.hpp"
+#include "scoped_env.hpp"
 
 using namespace ftmpi;
 
@@ -169,6 +171,26 @@ TEST(FtmpiBasic, GatherCollectsInRankOrder) {
   EXPECT_TRUE(ok.load());
 }
 
+TEST(FtmpiBasic, GathervAcceptsAnEmptyContribution) {
+  // Rank 1 contributes nothing: the root must hand back an empty part for it
+  // (without copying from the empty payload's null data pointer).
+  Runtime rt(small_opts());
+  std::atomic<bool> ok{false};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    Comm& w = world();
+    const int r = w.rank();
+    const std::vector<int> mine(r == 1 ? 0 : static_cast<size_t>(r) + 1, r);
+    std::vector<std::vector<int>> parts;
+    ASSERT_EQ(gatherv(mine, &parts, 0, w), kSuccess);
+    if (r == 0) {
+      ok = parts.size() == 3 && parts[0] == std::vector<int>{0} && parts[1].empty() &&
+           parts[2] == std::vector<int>{2, 2, 2};
+    }
+  });
+  rt.run("main", 3);
+  EXPECT_TRUE(ok.load());
+}
+
 TEST(FtmpiBasic, AllreduceSum) {
   Runtime rt(small_opts());
   std::atomic<int> wrong{0};
@@ -268,4 +290,38 @@ TEST(FtmpiBasic, LargePayloadTransfersIntact) {
   });
   rt.run("main", 2);
   EXPECT_TRUE(ok.load());
+}
+
+TEST(RuntimeChecks, SelectorEnablesExactlyTheNamedCheckers) {
+  {
+    ScopedEnv none("FTR_CHECK", "");
+    const Runtime rt(small_opts());
+    EXPECT_FALSE(rt.checks().protocol || rt.checks().vtsan || rt.checks().deadlock);
+  }
+  ScopedEnv two("FTR_CHECK", "deadlock,protocol");
+  const Runtime rt(small_opts());
+  EXPECT_TRUE(rt.checks().protocol);
+  EXPECT_FALSE(rt.checks().vtsan);
+  EXPECT_TRUE(rt.checks().deadlock);
+}
+
+TEST(RuntimeChecks, UnknownCheckerNameIsRejected) {
+  ScopedEnv bad("FTR_CHECK", "protocol,psan");
+  EXPECT_THROW(Runtime rt(small_opts()), std::invalid_argument);
+}
+
+TEST(RuntimeChecks, UnselectedCheckerStaysOut) {
+  // The double-free PsanDeath.DoubleFreeAborts pins, with no checker
+  // selected: the runtime itself tolerates it and the run completes.
+  ScopedEnv none("FTR_CHECK", "");
+  Runtime rt(small_opts());
+  std::atomic<int> freed{0};
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    Comm a;
+    (void)comm_split(world(), 0, 0, &a);
+    Comm b = a;
+    if (comm_free(&a) == kSuccess && comm_free(&b) == kSuccess) ++freed;
+  });
+  EXPECT_EQ(rt.run("main", 1), 0);
+  EXPECT_EQ(freed.load(), 1);
 }

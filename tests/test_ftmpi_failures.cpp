@@ -165,15 +165,15 @@ TEST(FtmpiFailures, RevokeInterruptsPendingRecv) {
 }
 
 TEST(FtmpiFailures, OpsOnRevokedCommFail) {
-#ifdef FTR_PSAN
-  // This test deliberately keeps using the communicator after its own
-  // revoke — the exact FTL006 violation the protocol sanitizer aborts on
-  // (pinned by PsanDeath.UseAfterObservedRevokeAborts).  Here we only want
-  // the error codes of the plain runtime.
-  GTEST_SKIP() << "intentional use-after-revoke; aborts by design under "
-                  "FTR_SANITIZE=protocol";
-#endif
   Runtime rt(small_opts());
+  if (rt.checks().protocol) {
+    // This test deliberately keeps using the communicator after its own
+    // revoke — the exact FTL006 violation the protocol checker aborts on
+    // (pinned by PsanDeath.UseAfterObservedRevokeAborts).  Here we only
+    // want the error codes of the plain runtime.
+    GTEST_SKIP() << "intentional use-after-revoke; aborts by design under "
+                    "FTR_CHECK=protocol";
+  }
   std::atomic<int> send_code{-1}, barrier_code{-1};
   rt.register_app("main", [&](const std::vector<std::string>&) {
     Comm& w = world();

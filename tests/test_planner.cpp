@@ -341,10 +341,16 @@ TEST(PlannerConfig, EnvOverridesRecoveryPolicyAndInterval) {
     EXPECT_EQ(app.config().recovery, RecoveryPolicy::Planner);
     EXPECT_EQ(app.config().buddy_every, 6);
   }
+  setenv("FTR_RECOVERY", "overlap", 1);
+  {
+    FtApp app(small_app(Technique::CheckpointRestart));
+    EXPECT_EQ(app.config().recovery, RecoveryPolicy::Overlap);
+  }
+  // The per-technique overrides are gone: `ac` is now an unknown value.
   setenv("FTR_RECOVERY", "ac", 1);
   {
     FtApp app(small_app(Technique::CheckpointRestart));
-    EXPECT_EQ(app.config().recovery, RecoveryPolicy::Ac);
+    EXPECT_EQ(app.config().recovery, RecoveryPolicy::Technique);
   }
   setenv("FTR_RECOVERY", "bogus", 1);
   {

@@ -1,4 +1,4 @@
-// Tests for the runtime protocol sanitizer (FTR_SANITIZE=protocol).
+// Tests for the runtime protocol sanitizer (FTR_CHECK=protocol).
 //
 // The sanitizer is the dynamic cross-check for ftlint's FTL005/FTL006: a
 // rank that keeps using a communicator after *observing* its revocation, a
@@ -7,9 +7,8 @@
 // must abort the run with a "ftmpi-psan:" diagnostic naming the call sites.
 // The positive tests pin that the sanctioned salvage idioms and the normal
 // collective protocol stay silent; the death tests seed each violation
-// class and match the diagnostic.  Without FTR_PSAN the whole suite is a
-// single explicit skip, so a plain build still registers (and documents)
-// the suite.
+// class and match the diagnostic.  The fixture selects the checker for
+// every Runtime a test builds, whatever FTR_CHECK the caller set.
 
 #include <gtest/gtest.h>
 
@@ -20,19 +19,16 @@
 #include "ftmpi/api.hpp"
 #include "ftmpi/psan.hpp"
 #include "ftmpi/runtime.hpp"
-
-#ifndef FTR_PSAN
-
-TEST(Psan, RequiresProtocolSanitizerBuild) {
-  GTEST_SKIP() << "built without FTR_SANITIZE=protocol; the protocol "
-                  "sanitizer is compiled out";
-}
-
-#else
+#include "scoped_env.hpp"
 
 using namespace ftmpi;
 
 namespace {
+
+class Psan : public ::testing::Test {
+  ScopedEnv checks_{"FTR_CHECK", "protocol"};
+};
+using PsanDeath = Psan;
 
 Runtime::Options small_opts() {
   Runtime::Options opt;
@@ -43,7 +39,7 @@ Runtime::Options small_opts() {
 
 }  // namespace
 
-TEST(Psan, CleanProtocolRunStaysSilent) {
+TEST_F(Psan, CleanProtocolRunStaysSilent) {
   // A full window of matched collectives, verified and reset at an agree,
   // then a second window: the sanitizer must not interfere.
   Runtime rt(small_opts());
@@ -71,7 +67,7 @@ TEST(Psan, CleanProtocolRunStaysSilent) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(Psan, SalvageAfterRevokeIsAllowed) {
+TEST_F(Psan, SalvageAfterRevokeIsAllowed) {
   // The paper's drain idiom: after observing a revocation, a rank may still
   // probe/receive buffered messages, shrink, agree, and free — exactly the
   // set ftlint sanctions for FTL006.
@@ -109,7 +105,7 @@ TEST(Psan, SalvageAfterRevokeIsAllowed) {
   EXPECT_EQ(drained.load(), 1);
 }
 
-TEST(Psan, DrainAndDropOfSupersededWorldStaySilent) {
+TEST_F(Psan, DrainAndDropOfSupersededWorldStaySilent) {
   // Overlapped recovery's handoff idiom: once a rank acks the repaired-world
   // doorbell, the pre-handoff world and the continuation sub-communicator
   // are dead weight — draining buffered messages off them and freeing the
@@ -131,8 +127,8 @@ TEST(Psan, DrainAndDropOfSupersededWorldStaySilent) {
     check(barrier(w));  // orders the eager send before the handoff
     Comm side;
     check(comm_split(w, 0, w.rank(), &side));
-    psan::on_overlap_split(side, /*epoch=*/7, __FILE__, __LINE__);
-    psan::on_handoff(w, /*epoch=*/7, __FILE__, __LINE__);
+    psan::on_overlap_split(side, /*epoch=*/7);
+    psan::on_handoff(w, /*epoch=*/7);
     if (w.rank() == 0) {
       int have = 0;
       Status st;
@@ -150,9 +146,7 @@ TEST(Psan, DrainAndDropOfSupersededWorldStaySilent) {
   EXPECT_EQ(drained.load(), 1);
 }
 
-using PsanDeath = ::testing::Test;
-
-TEST(PsanDeath, UseAfterObservedRevokeAborts) {
+TEST_F(PsanDeath, UseAfterObservedRevokeAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -170,7 +164,7 @@ TEST(PsanDeath, UseAfterObservedRevokeAborts) {
       "ftmpi-psan: use-after-revoke");
 }
 
-TEST(PsanDeath, DoubleFreeAborts) {
+TEST_F(PsanDeath, DoubleFreeAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -188,7 +182,7 @@ TEST(PsanDeath, DoubleFreeAborts) {
       "ftmpi-psan: double-free");
 }
 
-TEST(PsanDeath, CollectiveOnPreHandoffWorldAborts) {
+TEST_F(PsanDeath, CollectiveOnPreHandoffWorldAborts) {
   // A rank that acked the repaired-world doorbell but keeps running
   // collectives on the pre-handoff world has half the job on a layout
   // nobody else is in any more; the sanitizer must abort it at the first
@@ -199,7 +193,7 @@ TEST(PsanDeath, CollectiveOnPreHandoffWorldAborts) {
         Runtime rt(small_opts());
         rt.register_app("main", [&](const std::vector<std::string>&) {
           Comm& w = world();
-          psan::on_handoff(w, /*epoch=*/3, __FILE__, __LINE__);
+          psan::on_handoff(w, /*epoch=*/3);
           (void)barrier(w);  // straggler collective: must abort
         });
         rt.run("main", 2);
@@ -207,7 +201,7 @@ TEST(PsanDeath, CollectiveOnPreHandoffWorldAborts) {
       "ftmpi-psan: use-after-handoff");
 }
 
-TEST(PsanDeath, CollectiveOnSupersededContinuationCommAborts) {
+TEST_F(PsanDeath, CollectiveOnSupersededContinuationCommAborts) {
   // The continuation sub-communicator recorded at the overlap split dies
   // with the pre-handoff world: a collective on it after the handoff is the
   // same violation class, caught through the split-time tracking rather
@@ -220,8 +214,8 @@ TEST(PsanDeath, CollectiveOnSupersededContinuationCommAborts) {
           Comm& w = world();
           Comm side;
           (void)comm_split(w, 0, w.rank(), &side);
-          psan::on_overlap_split(side, /*epoch=*/5, __FILE__, __LINE__);
-          psan::on_handoff(w, /*epoch=*/5, __FILE__, __LINE__);
+          psan::on_overlap_split(side, /*epoch=*/5);
+          psan::on_handoff(w, /*epoch=*/5);
           (void)barrier(side);  // superseded with the world: must abort
         });
         rt.run("main", 2);
@@ -229,7 +223,7 @@ TEST(PsanDeath, CollectiveOnSupersededContinuationCommAborts) {
       "ftmpi-psan: use-after-handoff");
 }
 
-TEST(PsanDeath, DivergentCollectiveSequenceAbortsAtAgree) {
+TEST_F(PsanDeath, DivergentCollectiveSequenceAbortsAtAgree) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -251,7 +245,7 @@ TEST(PsanDeath, DivergentCollectiveSequenceAbortsAtAgree) {
       "ftmpi-psan: collective sequence divergence");
 }
 
-TEST(PsanDeath, TreeAgreeDivergenceFromDeepLeafAborts) {
+TEST_F(PsanDeath, TreeAgreeDivergenceFromDeepLeafAborts) {
   // Same violation class as above, but across a log-depth agreement tree:
   // the divergent rank is a leaf (rank 7 of 8, bottom of the binomial
   // tree), so its stream hash has to survive the child->parent reductions
@@ -277,5 +271,3 @@ TEST(PsanDeath, TreeAgreeDivergenceFromDeepLeafAborts) {
       },
       "ftmpi-psan: collective sequence divergence");
 }
-
-#endif  // FTR_PSAN

@@ -1,4 +1,4 @@
-// Tests for the virtual-time happens-before sanitizer (FTR_SANITIZE=vtsan).
+// Tests for the virtual-time happens-before sanitizer (FTR_CHECK=vtsan).
 //
 // The sanitizer is the dynamic cross-check for ftlint's fiber-readiness
 // rules FTL008-FTL010: two ranks touching an instrumented shared runtime
@@ -8,8 +8,8 @@
 // pin that message-ordered accesses, spawn inheritance, and back-to-back
 // run() invocations stay silent; the death tests seed the two conflict
 // classes (write-write and read-write) and match their distinct pinned
-// diagnostics.  Without FTR_VTSAN the whole suite is a single explicit
-// skip, so a plain build still registers (and documents) the suite.
+// diagnostics.  The fixture selects the checker for every Runtime a test
+// builds, whatever FTR_CHECK the caller set.
 
 #include <gtest/gtest.h>
 
@@ -19,20 +19,17 @@
 
 #include "ftmpi/api.hpp"
 #include "ftmpi/runtime.hpp"
+#include "scoped_env.hpp"
 #include "ftmpi/vtsan.hpp"
-
-#ifndef FTR_VTSAN
-
-TEST(Vtsan, RequiresVtsanBuild) {
-  GTEST_SKIP() << "built without FTR_SANITIZE=vtsan; the virtual-time "
-                  "happens-before tracker is compiled out";
-}
-
-#else
 
 using namespace ftmpi;
 
 namespace {
+
+class Vtsan : public ::testing::Test {
+  ScopedEnv checks_{"FTR_CHECK", "vtsan"};
+};
+using VtsanDeath = Vtsan;
 
 /// Detector heartbeats carry vector clocks like any other message, so they
 /// can accidentally order two otherwise-unsynchronized accesses.  The death
@@ -47,7 +44,7 @@ Runtime::Options quiet_opts() {
 
 }  // namespace
 
-TEST(Vtsan, MessageOrderedHandoffStaysSilent) {
+TEST_F(Vtsan, MessageOrderedHandoffStaysSilent) {
   // The sanctioned ownership-transfer idiom: rank 0 writes the key, then a
   // message to rank 1 carries rank 0's clock, so rank 1's overwrite is
   // ordered after rank 0's and the tracker must stay silent.
@@ -70,7 +67,7 @@ TEST(Vtsan, MessageOrderedHandoffStaysSilent) {
   EXPECT_EQ(rt.get("vtsan_handoff", 0.0), 2.0);
 }
 
-TEST(Vtsan, CollectiveOrderedAccessesStaySilent) {
+TEST_F(Vtsan, CollectiveOrderedAccessesStaySilent) {
   // A barrier's message exchange is a clock join for every rank, so
   // write-then-barrier-then-read across ranks is ordered.  Also exercises
   // the context registry instrumentation: every collective looks the world
@@ -89,7 +86,7 @@ TEST(Vtsan, CollectiveOrderedAccessesStaySilent) {
   EXPECT_EQ(observed.load(), 3);
 }
 
-TEST(Vtsan, SequentialRunsInheritTheDriverClock) {
+TEST_F(Vtsan, SequentialRunsInheritTheDriverClock) {
   // Back-to-back run() calls on one Runtime reuse blackboard keys all the
   // time (the bench harnesses do exactly this).  The driver clock folds the
   // first run's history into the second run's start snapshots, so the
@@ -105,9 +102,7 @@ TEST(Vtsan, SequentialRunsInheritTheDriverClock) {
   EXPECT_EQ(rt.get("vtsan_reused", 0.0), 2.0);
 }
 
-using VtsanDeath = ::testing::Test;
-
-TEST(VtsanDeath, UnorderedWritesToOneKeyAbort) {
+TEST_F(VtsanDeath, UnorderedWritesToOneKeyAbort) {
   // Two ranks write the same blackboard key and never exchange a message:
   // nothing orders the writes, so the surviving value is decided by which
   // OS thread got the mutex last.  The tracker must abort the second write
@@ -124,7 +119,7 @@ TEST(VtsanDeath, UnorderedWritesToOneKeyAbort) {
       "ftmpi-vtsan: write-write race on blackboard key 'vtsan_ww'");
 }
 
-TEST(VtsanDeath, UnorderedReadOfAWrittenKeyAborts) {
+TEST_F(VtsanDeath, UnorderedReadOfAWrittenKeyAborts) {
   // Rank 0 writes, rank 1 reads, no message between them: whichever access
   // runs second conflicts with the first, and in both interleavings the
   // pair is a read-write conflict.  Distinct diagnostic from the
@@ -142,5 +137,3 @@ TEST(VtsanDeath, UnorderedReadOfAWrittenKeyAborts) {
       },
       "ftmpi-vtsan: read-write race on blackboard key 'vtsan_rw'");
 }
-
-#endif  // FTR_VTSAN

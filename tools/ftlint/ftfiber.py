@@ -34,7 +34,7 @@ stitched through the name-based call graph — and feeds the
           neither holds by construction.  Justified virtual-clock
           serialization is exactly what an `ftlint:allow(FTL010 ...)`
           records — and what the vtsan runtime cross-check
-          (`FTR_SANITIZE=vtsan`, src/ftmpi/vtsan.hpp) validates
+          (`FTR_CHECK=vtsan`, src/ftmpi/vtsan.hpp) validates
           dynamically.
 
 Approximations, stated: "reachable from rank context" is over-approximated

@@ -25,9 +25,11 @@ rules silently.  This layer closes that gap, reusing the ftmodel recipe
           validation predicate — a named validator (`epoch_ok`, a CRC
           check) or an exit-only range guard.  A tainted value must not
           reach a non-guard branch condition, an array index, or a loop
-          bound: a hostile or stale wire would steer control flow.  This
-          generalizes FTL007 from "an epoch_ok verdict was observed
-          somewhere in the function" to positional def-use taint.
+          bound: a hostile or stale wire would steer control flow.  It
+          complements, and does not replace, FTL007: FTL007 asks whether
+          an epoch_ok verdict is observed at all, FTL012 tracks def-use
+          taint of wire fields, and on the FTL007 fixtures FTL012 reports
+          none of FTL007's findings.
   FTL013  bounded progress: every *unbounded* loop (`for (;;)`,
           `while (true)`) that can block — a direct primitive wait or a
           call that transitively reaches one — must have a reachable
@@ -36,7 +38,7 @@ rules silently.  This layer closes that gap, reusing the ftmodel recipe
           that observe failure internally (verified transitively through
           the call graph).  A blocking loop with neither turns the first
           unobserved failure into an infinite wait — exactly the hang the
-          `FTR_SANITIZE=deadlock` runtime cross-check (src/ftmpi/dlsan.hpp)
+          `FTR_CHECK=deadlock` runtime checker (src/ftmpi/dlsan.hpp)
           aborts on dynamically.
 
 Approximations, stated: the call graph is name-based and misses member
