@@ -9,6 +9,7 @@
 #include "advection/serial_solver.hpp"
 #include "combination/coefficients.hpp"
 #include "combination/combine.hpp"
+#include "grid/decomposition.hpp"
 #include "grid/sampling.hpp"
 
 using ftr::comb::CoefficientProblem;
@@ -30,6 +31,36 @@ void BM_LaxWendroffStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * solver.grid().size());
 }
 BENCHMARK(BM_LaxWendroffStep)->Arg(5)->Arg(7)->Arg(9);
+
+// The LocalField sweep pair one rank runs per parallel step: a 2^l x 2^l
+// block whose halo ring is refreshed from its own opposite edges, standing
+// in for the exchange with the neighbors.  Without the refresh a fixed halo
+// would drain the field toward zero and time denormal arithmetic instead.
+void BM_LocalSweep(benchmark::State& state) {
+  const int l = static_cast<int>(state.range(0));
+  const int n = 1 << l;
+  Grid2D g(Level{l, l});
+  g.fill([](double x, double y) { return x * y; });
+  ftr::grid::LocalField f(ftr::grid::Block{0, n, 0, n});
+  f.load_from(g);
+  auto& hs = f.halo_scratch();
+  for (auto _ : state) {
+    f.pack_column_into(n - 1, hs.send[0]);
+    f.unpack_halo_column(-1, hs.send[0]);
+    f.pack_column_into(0, hs.send[1]);
+    f.unpack_halo_column(n, hs.send[1]);
+    ftr::advection::sweep_x(f, 0.4);
+    f.pack_row_into(n - 1, hs.send[0]);
+    f.unpack_halo_row(-1, hs.send[0]);
+    f.pack_row_into(0, hs.send[1]);
+    f.unpack_halo_row(n, hs.send[1]);
+    ftr::advection::sweep_y(f, 0.2);
+    benchmark::DoNotOptimize(f.raw().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * f.block().cells());
+}
+BENCHMARK(BM_LocalSweep)->Arg(5)->Arg(7)->Arg(9);
 
 void BM_RestrictInject(benchmark::State& state) {
   const int l = static_cast<int>(state.range(0));
