@@ -26,11 +26,6 @@ Grid2D combine_full(const Scheme& s, const std::vector<Component>& parts) {
   return combine_to(Level{s.n, s.n}, parts);
 }
 
-double combined_l1_error(const Grid2D& combined,
-                         const std::function<double(double, double)>& ref) {
-  return ftr::grid::l1_error(combined, ref);
-}
-
 std::vector<Component> classic_components(const Scheme& s,
                                           const std::vector<const Grid2D*>& grids) {
   const auto levels = s.combination_levels();

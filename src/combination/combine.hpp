@@ -6,7 +6,6 @@
 // provides the serial combination kernels the root then applies, plus
 // convenience entry points used by tests and the error study (Fig. 10).
 
-#include <functional>
 #include <vector>
 
 #include "combination/coefficients.hpp"
@@ -28,10 +27,6 @@ Grid2D combine_to(Level target, const std::vector<Component>& parts);
 
 /// Combine onto the full isotropic grid (n, n) of the scheme.
 Grid2D combine_full(const Scheme& s, const std::vector<Component>& parts);
-
-/// Average l1 distance between a combined solution and a reference function.
-double combined_l1_error(const Grid2D& combined,
-                         const std::function<double(double, double)>& ref);
 
 /// Classic-combination convenience: solve-free weighting of the given grids
 /// (which must be the scheme's combination_levels() in order).

@@ -19,6 +19,15 @@ AsyncFailureInjector::AsyncFailureInjector(ftmpi::Runtime& rt, Options opt)
     for (int rank : opt_.victim_ranks) {
       // World ranks of the initial launch coincide with pids (replacement
       // processes get fresh pids, so an injector targets originals only).
+      // A kill issued before the launch has created the victim would find
+      // no process and be dropped, so wait for it (bounded by the runtime's
+      // watchdog horizon, past which the run is aborted anyway).
+      const auto give_up = std::chrono::steady_clock::now() +
+                           std::chrono::duration<double>(rt_.options().real_time_limit_sec);
+      while (rt_.total_processes() <= rank && std::chrono::steady_clock::now() < give_up) {
+        // ftlint:allow(FTL008 real-time injector thread; polls for the launch to create its victim)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
       rt_.kill(rank);
       kills_.fetch_add(1);
       FTR_DEBUG("async injector: killed world rank %d", rank);

@@ -36,12 +36,6 @@ struct FailurePlan {
     return kill_at_step.empty() && fail_host_at_step.empty() &&
            simulated_lost_grids.empty();
   }
-  [[nodiscard]] std::vector<int> real_victim_ranks() const {
-    std::vector<int> out;
-    out.reserve(kill_at_step.size());
-    for (const auto& [r, s] : kill_at_step) out.push_back(r);
-    return out;
-  }
 };
 
 /// Draw `count` distinct victim ranks (never rank 0) and a random kill step

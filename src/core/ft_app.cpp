@@ -29,6 +29,70 @@ namespace {
 constexpr int kTagGridToRoot = 300;   ///< grid root -> world rank 0 (combination)
 constexpr int kTagRecovered = 400;    ///< world rank 0 -> lost grid root (AC scatter)
 constexpr int kTagPartner = 500;      ///< partner root -> lost grid root (RC)
+
+/// Group-consistency check before a grid steps on after a failure.  Two ways
+/// the group's state can be unusable for plain stepping: members at
+/// different step counts (halo generations no longer pair), or a member
+/// whose last step was torn mid-sweep by a revoke (steps_done alone cannot
+/// see that).  Either is group-fatal, so it is agreed by reduction; `*lo` is
+/// the group's minimum step count.
+int agree_group_steps(const ParallelSolver& solver, const Comm& gcomm, long* lo,
+                      bool* usable) {
+  const int mine[2] = {static_cast<int>(solver.steps_done()), solver.torn() ? 1 : 0};
+  int min_step = mine[0];
+  int hi_torn[2] = {mine[0], mine[1]};
+  int rc = ftmpi::allreduce(&mine[0], &min_step, 1, ftmpi::ReduceOp::Min, gcomm);
+  if (rc == kSuccess) rc = ftmpi::allreduce(mine, hi_torn, 2, ftmpi::ReduceOp::Max, gcomm);
+  *lo = min_step;
+  *usable = rc == kSuccess && min_step == hi_torn[0] && hi_torn[1] == 0;
+  return rc;
+}
+
+/// Broadcast a recovery plan from `root`: a {n, gcp_feasible} header, then
+/// 4 longs {grid, action, step, partner} per entry.  On error `*plan` is
+/// left empty.
+int bcast_plan(ftr::rec::RecoveryPlan* plan, int root, const Comm& comm) {
+  long hdr[2] = {static_cast<long>(plan->entries.size()), plan->gcp_feasible ? 1 : 0};
+  std::vector<long> body;
+  if (comm.rank() == root) {
+    for (const auto& e : plan->entries) {
+      body.insert(body.end(), {e.grid, static_cast<long>(e.action), e.step, e.partner});
+    }
+  }
+  *plan = {};
+  int rc = ftmpi::bcast(hdr, 2, root, comm);
+  if (rc != kSuccess) return rc;
+  body.resize(static_cast<size_t>(std::max<long>(hdr[0], 0)) * 4);
+  if (!body.empty()) {
+    rc = ftmpi::bcast(body.data(), static_cast<int>(body.size()), root, comm);
+    if (rc != kSuccess) return rc;
+  }
+  plan->gcp_feasible = hdr[1] != 0;
+  for (size_t i = 0; i + 3 < body.size(); i += 4) {
+    ftr::rec::PlanEntry e;
+    e.grid = static_cast<int>(body[i]);
+    e.action = static_cast<ftr::rec::RecoveryAction>(body[i + 1]);
+    e.step = body[i + 2];
+    e.partner = static_cast<int>(body[i + 3]);
+    plan->entries.push_back(e);
+  }
+  return kSuccess;
+}
+
+/// Receive one buddy replica for this rank's block from `src`.  Returns it
+/// only when the receive succeeded and the replica is for `step` and holds
+/// exactly `cells` values.
+std::optional<ftr::rec::ReplicaMessage> recv_replica(size_t cells, long step, int src, int tag,
+                                                     const Comm& comm) {
+  std::vector<std::byte> buf(5 * sizeof(long) + cells * sizeof(double));
+  ftmpi::Status stat;
+  if (ftmpi::recv_bytes(buf.data(), buf.size(), src, tag, comm, &stat) != kSuccess) {
+    return std::nullopt;
+  }
+  auto msg = ftr::rec::unpack_replica(buf.data(), static_cast<size_t>(stat.count));
+  if (!msg.has_value() || msg->step != step || msg->data.size() != cells) return std::nullopt;
+  return msg;
+}
 }  // namespace
 
 struct FtApp::RankState {
@@ -279,27 +343,26 @@ void FtApp::entry(const std::vector<std::string>& argv) {
                                                  cfg_.problem, st.dt, st.gcomm);
   }
 
-  if (cfg_.layout.technique == Technique::CheckpointRestart) {
-    run_checkpoint_restart_from(st, resume_interval);
-  } else {
-    if (is_child) {
-      // End-phase repair already restored what this technique restores
-      // before combination; fall through.
-    } else {
-      run_combination_technique(st);
-    }
-  }
+  run_intervals(st, resume_interval);
   recovery_and_combine(st);
 }
 
+// RC and AC have a single detection point, before the combination: the
+// same interval loop with no checkpoint intervals.
+long FtApp::checkpoint_count() const {
+  return cfg_.layout.technique == Technique::CheckpointRestart
+             ? std::max<long>(cfg_.checkpoints, 0)
+             : 0;
+}
+
 long FtApp::interval_target(long interval) const {
-  const long c = std::max<long>(cfg_.checkpoints, 0);
+  const long c = checkpoint_count();
   if (interval >= c) return cfg_.timesteps;
   return cfg_.timesteps * (interval + 1) / (c + 1);
 }
 
-void FtApp::run_checkpoint_restart_from(RankState& st, long start_interval) {
-  const long c = cfg_.checkpoints;
+void FtApp::run_intervals(RankState& st, long start_interval) {
+  const long c = checkpoint_count();
   for (long i = start_interval; i <= c; ++i) {
     const long target = interval_target(i);
     FTR_DEBUG("ft_app: rank %d interval %ld target %ld", st.wrank, i, target);
@@ -314,7 +377,7 @@ void FtApp::run_checkpoint_restart_from(RankState& st, long start_interval) {
     // reach the detection point too (otherwise they would wait forever on a
     // survivor that has already left the solve loop).
     if (step_rc != kSuccess && !st.gcomm.is_null()) {
-      ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.cr.revoke");
+      ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.solve.revoke");
     }
 
     // Overlapped recovery: when the loss pattern allows it, unaffected
@@ -355,35 +418,6 @@ void FtApp::run_checkpoint_restart_from(RankState& st, long start_interval) {
   }
 }
 
-void FtApp::run_combination_technique(RankState& st) {
-  const double t0 = ftmpi::wtime();
-  const int step_rc = solve_to(st, cfg_.timesteps);
-  st.solve_time += ftmpi::wtime() - t0;
-  // Revoke the group communicator on error so blocked group mates also
-  // reach the detection point (see run_checkpoint_restart_from).
-  if (step_rc != kSuccess && !st.gcomm.is_null()) {
-    ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.ct.revoke");
-  }
-
-  // Overlapped recovery before the classic detection point (see
-  // run_checkpoint_restart_from); the handoff leaves every grid at the
-  // final target, so the combination can proceed directly.
-  if (cfg_.recovery == RecoveryPolicy::Overlap &&
-      try_overlap_recovery(st, cfg_.checkpoints, step_rc)) {
-    return;
-  }
-
-  // Single detection point at the end, before the combination (paper).
-  const auto res = st.recon.reconstruct(st.world);
-  if (res.repaired) {
-    // Harvest in-flight buddy replicas while the pre-repair world is still
-    // in hand (see run_checkpoint_restart_from).
-    drain_buddies(st);
-    if (!adopt_reconstruction(st, res)) return;
-    post_repair(st, cfg_.checkpoints /* => target = timesteps */, /*is_child=*/false);
-  }
-}
-
 bool FtApp::adopt_reconstruction(RankState& st, const ReconstructResult& res) {
   if (res.exhausted) {
     FTR_ERROR("ft_app: reconstruction exhausted its budget (rank %d); stopping", st.wrank);
@@ -410,20 +444,9 @@ bool FtApp::adopt_reconstruction(RankState& st, const ReconstructResult& res) {
   if (st.wrank == 0) {
     ++st.repairs;
     st.recon_attempts += res.attempts;
-    accumulate_timings(st, res.timings);
+    st.recon_sum += res.timings;
   }
   return true;
-}
-
-void FtApp::accumulate_timings(RankState& st, const ReconstructTimings& t) {
-  st.recon_sum.total += t.total;
-  st.recon_sum.failed_list += t.failed_list;
-  st.recon_sum.revoke += t.revoke;
-  st.recon_sum.shrink += t.shrink;
-  st.recon_sum.spawn += t.spawn;
-  st.recon_sum.agree += t.agree;
-  st.recon_sum.merge += t.merge;
-  st.recon_sum.split += t.split;
 }
 
 void FtApp::post_repair(RankState& st, long interval, bool is_child) {
@@ -499,23 +522,13 @@ void FtApp::post_repair(RankState& st, long interval, bool is_child) {
       std::find(lost_ids.begin(), lost_ids.end(), static_cast<long>(st.grid)) ==
           lost_ids.end()) {
     const long target = interval_target(header[0]);
-    // Two ways the group's state can be unusable for plain catch-up
-    // stepping: members at different step counts (halo generations no
-    // longer pair), or a member whose last step was torn mid-sweep by the
-    // revoke (steps_done alone cannot see that).  Either condition is
-    // group-fatal, so it is agreed by reduction.
-    int mine[2] = {static_cast<int>(st.solver->steps_done()),
-                   st.solver->torn() ? 1 : 0};
-    int lo = mine[0], hi_torn[2] = {mine[0], mine[1]};
-    int arc = ftmpi::allreduce(&mine[0], &lo, 1, ftmpi::ReduceOp::Min, st.gcomm);
-    if (arc == kSuccess) {
-      arc = ftmpi::allreduce(mine, hi_torn, 2, ftmpi::ReduceOp::Max, st.gcomm);
-    }
-    if (arc != kSuccess) {
+    long lo = 0;
+    bool usable = false;
+    if (agree_group_steps(*st.solver, st.gcomm, &lo, &usable) != kSuccess) {
       // A fresh failure during catch-up: tolerated, the next detection
       // point replans (same idiom as the restoration paths below).
       ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.proactive.revoke");
-    } else if (lo != hi_torn[0] || hi_torn[1] != 0) {
+    } else if (!usable) {
       // The group rolls back to its most recent group-consistent snapshot
       // (or the initial condition) and recomputes, exactly like a failed
       // grid.
@@ -663,21 +676,14 @@ void FtApp::buddy_restore_one(RankState& st, int grid, long step, long target) {
         "ft_app.buddy.ship");
   }
   if (st.grid != grid || !st.solver) return;
-  const int holder = ftr::rec::buddy_rank_of(topo, st.wrank);
-  const auto& blk = st.solver->field().block();
-  const size_t cells = static_cast<size_t>(blk.cells());
-  std::vector<std::byte> buf(5 * sizeof(long) + cells * sizeof(double));
-  ftmpi::Status stat;
-  const int rc = ftmpi::recv_bytes(buf.data(), buf.size(), holder, ftr::rec::kTagBuddyFetch,
-                                   st.world, &stat);
-  std::optional<ftr::rec::ReplicaMessage> msg;
-  if (rc == kSuccess) msg = ftr::rec::unpack_replica(buf.data(), static_cast<size_t>(stat.count));
-  if (!msg.has_value() || msg->step != step || msg->data.size() != cells) {
+  const auto msg = recv_replica(static_cast<size_t>(st.solver->field().block().cells()), step,
+                                ftr::rec::buddy_rank_of(topo, st.wrank),
+                                ftr::rec::kTagBuddyFetch, st.world);
+  if (!msg.has_value()) {
     // Dead holder, corrupt replica, or vanished generation: this grid cannot
     // come back through the buddy rung.  Revoke so group mates bail out of
     // the restore; the next detection point repairs and replans.
-    FTR_WARN("ft_app: buddy fetch for grid %d failed on rank %d (%s)", grid, st.wrank,
-             ftmpi::error_string(rc));
+    FTR_WARN("ft_app: buddy fetch for grid %d failed on rank %d", grid, st.wrank);
     ftr::observe_error(ftmpi::comm_revoke(st.gcomm), "ft_app.buddy.revoke");
     return;
   }
@@ -774,7 +780,7 @@ ftr::rec::RecoveryPlan FtApp::negotiate_plan(RankState& st, const std::vector<in
   const int grc = ftmpi::gatherv(mine, &parts, 0, st.world);
 
   // 2. World rank 0 derives the facts and plans over the full lattice.
-  std::vector<long> wire;  // [n, gcp_feasible, then 4 longs per entry]
+  ftr::rec::RecoveryPlan plan;
   if (st.wrank == 0) {
     std::map<std::pair<int, int>, ftr::rec::BuddyStore::Holding> held;
     if (grc == kSuccess) {
@@ -820,43 +826,14 @@ ftr::rec::RecoveryPlan FtApp::negotiate_plan(RankState& st, const std::vector<in
       }
       facts.push_back(f);
     }
-    const auto planned = ftr::rec::plan_recovery(
-        layout_.slots, cfg_.layout.scheme, gcp_depth(), ftr::rec::PlannerMode::Lattice, facts,
-        std::vector<int>(st.unrestored.begin(), st.unrestored.end()));
-    wire.push_back(static_cast<long>(planned.entries.size()));
-    wire.push_back(planned.gcp_feasible ? 1 : 0);
-    for (const auto& e : planned.entries) {
-      wire.push_back(e.grid);
-      wire.push_back(static_cast<long>(e.action));
-      wire.push_back(e.step);
-      wire.push_back(e.partner);
-    }
+    plan = ftr::rec::plan_recovery(layout_.slots, cfg_.layout.scheme, gcp_depth(),
+                                   ftr::rec::PlannerMode::Lattice, facts,
+                                   std::vector<int>(st.unrestored.begin(), st.unrestored.end()));
   }
 
   // 3. Broadcast the agreed plan.  A failure mid-negotiation yields an
   //    empty plan; the next detection point repairs and replans.
-  long hdr[2] = {0, 1};
-  if (st.wrank == 0 && wire.size() >= 2) {
-    hdr[0] = wire[0];
-    hdr[1] = wire[1];
-  }
-  ftr::rec::RecoveryPlan plan;
-  if (ftmpi::bcast(hdr, 2, 0, st.world) != kSuccess) return plan;
-  std::vector<long> body(static_cast<size_t>(std::max<long>(hdr[0], 0)) * 4);
-  if (st.wrank == 0 && !body.empty()) body.assign(wire.begin() + 2, wire.end());
-  if (!body.empty() &&
-      ftmpi::bcast(body.data(), static_cast<int>(body.size()), 0, st.world) != kSuccess) {
-    return plan;
-  }
-  plan.gcp_feasible = hdr[1] != 0;
-  for (size_t i = 0; i + 3 < body.size(); i += 4) {
-    ftr::rec::PlanEntry e;
-    e.grid = static_cast<int>(body[i]);
-    e.action = static_cast<ftr::rec::RecoveryAction>(body[i + 1]);
-    e.step = body[i + 2];
-    e.partner = static_cast<int>(body[i + 3]);
-    plan.entries.push_back(e);
-  }
+  ftr::observe_error(bcast_plan(&plan, 0, st.world), "ft_app.plan.bcast");
   return plan;
 }
 
@@ -1069,14 +1046,12 @@ bool FtApp::overlap_continuation(RankState& st, long interval,
   // solve loop were staggered (proactive exits land when gossip does), so
   // members may disagree on steps_done, and a revoke can have torn a step
   // mid-sweep.  Same repair as the classic path's post-repair catch-up.
-  int mine[2] = {static_cast<int>(st.solver->steps_done()), st.solver->torn() ? 1 : 0};
-  int lo = mine[0], hi[2] = {mine[0], mine[1]};
-  int arc = ftmpi::allreduce(&mine[0], &lo, 1, ftmpi::ReduceOp::Min, st.gcomm);
-  if (arc == kSuccess) arc = ftmpi::allreduce(mine, hi, 2, ftmpi::ReduceOp::Max, st.gcomm);
-  if (arc != kSuccess) {
+  long lo = 0;
+  bool usable = false;
+  if (agree_group_steps(*st.solver, st.gcomm, &lo, &usable) != kSuccess) {
     return overlap_abort_continuation(st, ccomm, bridge);
   }
-  if (lo != hi[0] || hi[1] != 0) {
+  if (!usable) {
     cr_restore(st, std::vector<int>{st.grid}, std::max<long>(lo, 0));
     if (st.gcomm.is_revoked()) {
       return overlap_abort_continuation(st, ccomm, bridge);
@@ -1338,7 +1313,7 @@ bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const Overla
   // classic wire idiom; the lattice is restricted to Buddy -> Disk because
   // the RC partners live on the unreachable continuation side.
   const std::vector<int> affected = layout_.grids_of_ranks(view.member_olds);
-  std::vector<long> wire;  // [n, gcp_feasible, then 4 longs per entry]
+  ftr::rec::RecoveryPlan plan;
   if (rworld.rank() == view.leader_rworld) {
     std::map<std::pair<int, int>, std::set<long>> gens;
     for (const auto& r : staged) gens[{r.grid, r.grank}].insert(r.step);
@@ -1372,44 +1347,12 @@ bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const Overla
       }
       facts.push_back(f);
     }
-    const auto planned = ftr::rec::plan_recovery(
-        layout_.slots, cfg_.layout.scheme, gcp_depth(), ftr::rec::PlannerMode::Overlap, facts,
-        std::vector<int>(st.unrestored.begin(), st.unrestored.end()));
-    wire.push_back(static_cast<long>(planned.entries.size()));
-    wire.push_back(planned.gcp_feasible ? 1 : 0);
-    for (const auto& e : planned.entries) {
-      wire.push_back(e.grid);
-      wire.push_back(static_cast<long>(e.action));
-      wire.push_back(e.step);
-      wire.push_back(e.partner);
-    }
+    plan = ftr::rec::plan_recovery(layout_.slots, cfg_.layout.scheme, gcp_depth(),
+                                   ftr::rec::PlannerMode::Overlap, facts,
+                                   std::vector<int>(st.unrestored.begin(), st.unrestored.end()));
   }
-  long hdr[2] = {0, 1};
-  if (rworld.rank() == view.leader_rworld && wire.size() >= 2) {
-    hdr[0] = wire[0];
-    hdr[1] = wire[1];
-  }
-  if (ftmpi::bcast(hdr, 2, view.leader_rworld, rworld) != kSuccess) {
-    return overlap_abort_restore(st, rworld, "plan_hdr");
-  }
-  std::vector<long> body(static_cast<size_t>(std::max<long>(hdr[0], 0)) * 4);
-  if (rworld.rank() == view.leader_rworld && !body.empty()) {
-    body.assign(wire.begin() + 2, wire.end());
-  }
-  if (!body.empty() &&
-      ftmpi::bcast(body.data(), static_cast<int>(body.size()), view.leader_rworld, rworld) !=
-          kSuccess) {
-    return overlap_abort_restore(st, rworld, "plan_body");
-  }
-  ftr::rec::RecoveryPlan plan;
-  plan.gcp_feasible = hdr[1] != 0;
-  for (size_t i = 0; i + 3 < body.size(); i += 4) {
-    ftr::rec::PlanEntry e;
-    e.grid = static_cast<int>(body[i]);
-    e.action = static_cast<ftr::rec::RecoveryAction>(body[i + 1]);
-    e.step = body[i + 2];
-    e.partner = static_cast<int>(body[i + 3]);
-    plan.entries.push_back(e);
+  if (bcast_plan(&plan, view.leader_rworld, rworld) != kSuccess) {
+    return overlap_abort_restore(st, rworld, "plan");
   }
 
   // The leader pre-ships every Buddy replica with eager sends before anyone
@@ -1449,30 +1392,19 @@ bool FtApp::overlap_repair_world(RankState& st, ftmpi::Comm rworld, const Overla
     }
     if (e.grid != st.grid) continue;
     if (e.action == ftr::rec::RecoveryAction::Buddy) {
+      const size_t cells = static_cast<size_t>(st.solver->field().block().cells());
       std::optional<ftr::rec::ReplicaMessage> msg;
       if (rworld.rank() == view.leader_rworld) {
         const auto hit = std::find_if(staged.begin(), staged.end(), [&](const auto& r) {
           return r.grid == e.grid && r.grank == st.gcomm.rank() && r.step == e.step;
         });
-        if (hit != staged.end()) {
-          msg = ftr::rec::ReplicaMessage{};
-          msg->grid = hit->grid;
-          msg->grank = hit->grank;
-          msg->step = hit->step;
-          msg->data = hit->data;
+        if (hit != staged.end() && hit->data.size() == cells) {
+          msg = ftr::rec::ReplicaMessage{hit->grid, hit->grank, hit->step, hit->data};
         }
       } else {
-        const size_t cells = static_cast<size_t>(st.solver->field().block().cells());
-        std::vector<std::byte> buf(5 * sizeof(long) + cells * sizeof(double));
-        ftmpi::Status stat;
-        const int rc = ftmpi::recv_bytes(buf.data(), buf.size(), view.leader_rworld,
-                                         overlap::kTagRestore, rworld, &stat);
-        if (rc == kSuccess) {
-          msg = ftr::rec::unpack_replica(buf.data(), static_cast<size_t>(stat.count));
-        }
+        msg = recv_replica(cells, e.step, view.leader_rworld, overlap::kTagRestore, rworld);
       }
-      const size_t cells = static_cast<size_t>(st.solver->field().block().cells());
-      if (!msg.has_value() || msg->step != e.step || msg->data.size() != cells) {
+      if (!msg.has_value()) {
         return overlap_abort_restore(st, rworld, "buddy_restore");
       }
       unpack_interior(msg->data, st.solver->field());
@@ -1632,10 +1564,7 @@ void FtApp::recovery_and_combine(RankState& st) {
   for (int id : lost_now) {
     lost_levels.push_back(layout_.slots[static_cast<size_t>(id)].level);
   }
-  const ftr::comb::CoefficientProblem gcp(cfg_.layout.scheme,
-                                          tech == Technique::AlternateCombination
-                                              ? 1 + cfg_.layout.extra_layers
-                                              : 1);
+  const ftr::comb::CoefficientProblem gcp(cfg_.layout.scheme, gcp_depth());
   const auto coeffs = gcp.solve(lost_levels);
   std::vector<std::pair<int, double>> contributors;  // grid id, coefficient
   if (coeffs.has_value()) {

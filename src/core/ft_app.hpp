@@ -4,13 +4,13 @@
 // Structure per run:
 //   1. setup: split MPI_COMM_WORLD into one group per sub-grid (layout.hpp)
 //      and build a ParallelSolver per group;
-//   2. solve: all groups advance the same fixed timestep.
-//      - CR: the run is divided into C+1 intervals; after each of the first
-//        C intervals every rank probes for failures (communicatorReconstruct)
-//        and then writes a checkpoint — detection happens *before* the
-//        write, as in the paper;
-//      - RC/AC: the solver runs straight through; failure detection is
-//        tested once, at the end, before the combination;
+//   2. solve: all groups advance the same fixed timestep through one
+//      interval loop.  The run is divided into C+1 intervals; after each
+//      interval every rank probes for failures (communicatorReconstruct),
+//      and after each of the first C it then writes a checkpoint —
+//      detection happens *before* the write, as in the paper.  CR uses the
+//      configured C; RC/AC run with C = 0, a single interval whose detection
+//      point is the one before the combination;
 //   3. repair: on detection, the world is reconstructed (same size, same
 //      ranks, children respawned on the original hosts), grid communicators
 //      are rebuilt by the same comm_split, and the run state is broadcast
@@ -126,7 +126,8 @@ struct AppConfig {
   double cfl = 0.9;
   /// CR: number of checkpoints C (paper Eq. 2; benches compute it from the
   /// policy).  The run is split into C+1 intervals with a detection point
-  /// and a write after each of the first C.
+  /// after each and a write after each of the first C.  Ignored by RC and
+  /// AC, which run a single interval.
   long checkpoints = 3;
   FailurePlan failures;
   /// Push recovered data back onto the lost grids' groups (exercises the
@@ -173,7 +174,6 @@ class FtApp {
   [[nodiscard]] const Layout& layout() const { return layout_; }
   [[nodiscard]] const AppConfig& config() const { return cfg_; }
   [[nodiscard]] ftr::rec::CheckpointStore& checkpoint_store() { return *store_; }
-  [[nodiscard]] ftr::rec::BuddyStore& buddy_store() { return *buddy_; }
 
   /// The per-rank entry point (public so tests can drive it directly).
   void entry(const std::vector<std::string>& argv);
@@ -181,12 +181,13 @@ class FtApp {
  private:
   struct RankState;  // defined in ft_app.cpp
 
-  /// Run the CR interval loop starting at `start_interval` (non-zero for
-  /// respawned children fast-forwarding).
-  void run_checkpoint_restart_from(RankState& st, long start_interval);
-  void run_combination_technique(RankState& st);  // RC and AC share this path
+  /// Run the interval loop (solve, detect, repair, write) starting at
+  /// `start_interval` (non-zero for respawned children fast-forwarding).
+  void run_intervals(RankState& st, long start_interval);
 
-  /// Step boundary of CR interval i (timesteps for i >= checkpoints).
+  /// Checkpoint intervals C: cfg_.checkpoints for CR, 0 for RC and AC.
+  [[nodiscard]] long checkpoint_count() const;
+  /// Step boundary of interval i (timesteps for i >= checkpoint_count()).
   [[nodiscard]] long interval_target(long interval) const;
 
   /// Advance to `target` steps, firing planned kills; errors fall through
@@ -293,7 +294,6 @@ class FtApp {
   bool overlap_adopt(RankState& st, ftmpi::Comm nworld, int leader_old,
                      std::uint64_t epoch);
 
-  static void accumulate_timings(RankState& st, const ReconstructTimings& t);
   void maybe_self_kill(const RankState& st, long step);
   [[nodiscard]] std::vector<double> pack_interior(const ftr::grid::LocalField& f) const;
   void unpack_interior(const std::vector<double>& v, ftr::grid::LocalField& f) const;

@@ -80,7 +80,6 @@ struct DegradedView {
   [[nodiscard]] int original_rank_of(int new_rank) const {
     return survivors[static_cast<size_t>(new_rank)];
   }
-  [[nodiscard]] int num_survivors() const { return static_cast<int>(survivors.size()); }
   /// A grid is usable in degraded mode only when its whole group survived.
   [[nodiscard]] bool grid_lost(int grid_id) const;
 };

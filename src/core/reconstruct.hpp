@@ -58,6 +58,18 @@ struct ReconstructTimings {
   double agree = 0;         ///< OMPI_Comm_agree (intercomm), Table I
   double merge = 0;         ///< MPI_Intercomm_merge, Table I
   double split = 0;         ///< ordered MPI_Comm_split
+
+  ReconstructTimings& operator+=(const ReconstructTimings& o) {
+    total += o.total;
+    failed_list += o.failed_list;
+    revoke += o.revoke;
+    shrink += o.shrink;
+    spawn += o.spawn;
+    agree += o.agree;
+    merge += o.merge;
+    split += o.split;
+    return *this;
+  }
 };
 
 /// How a reconstruction concluded.

@@ -317,13 +317,6 @@ FTR_NODISCARD int allreduce(const T* sendbuf, T* recvbuf, int count, ReduceOp op
   return bcast(recvbuf, count, 0, c);
 }
 
-template <class T>
-FTR_NODISCARD int allgather(const T* sendbuf, int count, T* recvbuf, const Comm& c) {
-  int rc = gather(sendbuf, count, recvbuf, 0, c);
-  if (rc != kSuccess) return rc;
-  return bcast(recvbuf, count * c.size(), 0, c);
-}
-
 /// Root distributes fixed-size per-rank slices (MPI_Scatter).  `send` is
 /// significant at the root only; each rank receives `per_rank` bytes.
 FTR_NODISCARD int scatter_bytes(const void* send, std::size_t per_rank, void* recv, int root,

@@ -127,7 +127,6 @@ class Comm {
   [[nodiscard]] const Group& remote_group() const { return ctx_->remote_group(side_); }
 
   [[nodiscard]] CommContext* context() const { return ctx_.get(); }
-  [[nodiscard]] const std::shared_ptr<CommContext>& context_ptr() const { return ctx_; }
   [[nodiscard]] int side() const { return side_; }
   [[nodiscard]] ProcId self() const { return self_; }
   [[nodiscard]] CommLocal& local() const { return *local_; }

@@ -21,7 +21,6 @@ class Request {
   Request() = default;
 
   [[nodiscard]] bool is_null() const { return kind_ == Kind::Null; }
-  [[nodiscard]] bool is_recv() const { return kind_ == Kind::Recv; }
 
  private:
   enum class Kind { Null, SendComplete, Recv };

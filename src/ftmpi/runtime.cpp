@@ -187,15 +187,6 @@ bool Runtime::host_failed(int host) const {
   return host_failed_[static_cast<size_t>(host)];
 }
 
-std::vector<ProcId> Runtime::procs_on_host(int host) const {
-  std::vector<ProcId> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& ps : procs_) {
-    if (ps->host == host) out.push_back(ps->pid);
-  }
-  return out;
-}
-
 ProcId Runtime::create_process(const std::string& app, std::vector<std::string> argv,
                                int preferred_host, double start_clock) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -371,14 +362,6 @@ bool Runtime::is_dead(ProcId pid) const {
   return procs_[static_cast<size_t>(pid)]->dead.load();
 }
 
-bool Runtime::any_dead(const Group& g) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (ProcId p : g.pids) {
-    if (procs_[static_cast<size_t>(p)]->dead.load()) return true;
-  }
-  return false;
-}
-
 std::vector<ProcId> Runtime::dead_members(const Group& g) const {
   std::vector<ProcId> out;
   std::lock_guard<std::mutex> lock(mu_);
@@ -386,14 +369,6 @@ std::vector<ProcId> Runtime::dead_members(const Group& g) const {
     if (procs_[static_cast<size_t>(p)]->dead.load()) out.push_back(p);
   }
   return out;
-}
-
-int Runtime::lowest_live_rank(const Group& g) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int r = 0; r < g.size(); ++r) {
-    if (!procs_[static_cast<size_t>(g.pids[static_cast<size_t>(r)])]->dead.load()) return r;
-  }
-  return -1;
 }
 
 int Runtime::host_of(ProcId pid) const {

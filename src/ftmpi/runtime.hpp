@@ -159,14 +159,9 @@ class Runtime {
   /// original load-balancing characteristics.
   void fail_host(int host);
   [[nodiscard]] bool host_failed(int host) const;
-  /// Pids currently placed on `host` (live or dead).
-  [[nodiscard]] std::vector<ProcId> procs_on_host(int host) const;
 
   [[nodiscard]] bool is_dead(ProcId pid) const;
-  [[nodiscard]] bool any_dead(const Group& g) const;
   [[nodiscard]] std::vector<ProcId> dead_members(const Group& g) const;
-  /// Index of the lowest-ranked live member of g, or -1 if none.
-  [[nodiscard]] int lowest_live_rank(const Group& g) const;
 
   [[nodiscard]] int host_of(ProcId pid) const;
   [[nodiscard]] int slots_per_host() const { return opt_.slots_per_host; }

@@ -47,10 +47,6 @@ class Trace {
     enabled_ = true;
     capacity_ = capacity;
   }
-  void disable() {
-    std::lock_guard<std::mutex> lock(mu_);
-    enabled_ = false;
-  }
   [[nodiscard]] bool enabled() const {
     std::lock_guard<std::mutex> lock(mu_);
     return enabled_;

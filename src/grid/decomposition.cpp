@@ -85,18 +85,6 @@ void LocalField::store_to(Grid2D& full) const {
   }
 }
 
-std::vector<double> LocalField::pack_column(int lx) const {
-  std::vector<double> v;
-  pack_column_into(lx, v);
-  return v;
-}
-
-std::vector<double> LocalField::pack_row(int ly) const {
-  std::vector<double> v;
-  pack_row_into(ly, v);
-  return v;
-}
-
 FTR_HOT void LocalField::pack_column_into(int lx, std::vector<double>& v) const {
   // ftlint:allow(FTL003 warm-up growth of persistent halo scratch)
   v.resize(static_cast<size_t>(block_.height()));

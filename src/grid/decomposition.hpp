@@ -88,19 +88,14 @@ class LocalField {
 
   [[nodiscard]] std::vector<double>& raw() { return data_; }
   [[nodiscard]] const std::vector<double>& raw() const { return data_; }
-  [[nodiscard]] std::size_t interior_bytes() const {
-    return static_cast<size_t>(block_.cells()) * sizeof(double);
-  }
 
   /// Copy the owned interior out of / into a full grid (unique points).
   void load_from(const Grid2D& full);
   void store_to(Grid2D& full) const;
 
-  /// Pack/unpack one edge of the interior (for halo exchange).  The
-  /// allocating pack_column/pack_row remain for one-off callers; the per-step
-  /// paths use the *_into forms with the field's persistent HaloScratch.
-  [[nodiscard]] std::vector<double> pack_column(int lx) const;
-  [[nodiscard]] std::vector<double> pack_row(int ly) const;
+  /// Pack/unpack one edge of the interior (for halo exchange).  Callers
+  /// pass the field's persistent HaloScratch buffers, so the per-step paths
+  /// do not allocate.
   void pack_column_into(int lx, std::vector<double>& v) const;
   void pack_row_into(int ly, std::vector<double>& v) const;
   void unpack_halo_column(int lx, const std::vector<double>& v);

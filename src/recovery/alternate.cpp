@@ -1,46 +1,6 @@
 #include "recovery/alternate.hpp"
 
-#include "grid/sampling.hpp"
-
 namespace ftr::rec {
-
-std::optional<AcRecovery> ac_recover(
-    const Scheme& scheme, int max_depth,
-    const std::map<int, std::pair<Level, const Grid2D*>>& grids,
-    const std::map<int, Level>& lost) {
-  std::vector<Level> lost_levels;
-  lost_levels.reserve(lost.size());
-  for (const auto& [id, level] : lost) lost_levels.push_back(level);
-
-  const ftr::comb::CoefficientProblem problem(scheme, max_depth);
-  auto coeffs = problem.solve(lost_levels);
-  if (!coeffs.has_value()) return std::nullopt;
-
-  // Weight the surviving grids with the alternate coefficients.
-  std::vector<ftr::comb::Component> parts;
-  for (size_t i = 0; i < coeffs->levels.size(); ++i) {
-    const Level lv = coeffs->levels[i];
-    const Grid2D* data = nullptr;
-    for (const auto& [id, entry] : grids) {
-      if (entry.first == lv) {
-        data = entry.second;
-        break;
-      }
-    }
-    if (data == nullptr) return std::nullopt;  // a needed survivor is missing
-    parts.push_back(ftr::comb::Component{data, coeffs->coeffs[i]});
-  }
-
-  AcRecovery out;
-  out.coefficients = std::move(*coeffs);
-  out.combined = ftr::comb::combine_full(scheme, parts);
-  for (const auto& [id, level] : lost) {
-    Grid2D g(level);
-    ftr::grid::interpolate(out.combined, g);
-    out.recovered.emplace(id, std::move(g));
-  }
-  return out;
-}
 
 double ac_coefficient_flops(const Scheme& scheme, int max_depth) {
   // Four membership tests per window index, each a few comparisons against

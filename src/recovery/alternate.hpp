@@ -1,48 +1,22 @@
 #pragma once
-// Alternate Combination (AC) recovery [paper Sec. II-D; Harding & Hegland
-// 2013].
+// Alternate Combination (AC) recovery cost [paper Sec. II-D; Harding &
+// Hegland 2013].
 //
 // The scheme computes two extra layers of coarser sub-grids alongside the
 // combination grids.  When grids are lost, new combination coefficients are
-// derived for the survivors (the general coefficient problem, solved by
-// inclusion-exclusion over the reduced downset in
-// combination/coefficients.hpp), the surviving grids are combined with the
-// new coefficients, and each lost grid's data is recovered by sampling the
-// combined solution at its points.  Unlike CR and RC, recovery is only
-// possible at a combination point — which is also why its recovery
-// *overhead* is just the coefficient computation (paper Fig. 9).
+// derived for the survivors (the general coefficient problem in
+// combination/coefficients.hpp), the survivors are combined with them, and
+// each lost grid is recovered by sampling the combined solution — work the
+// application does in its combination stage (core/ft_app.cpp).  Unlike CR
+// and RC, recovery is only possible at a combination point, which is also
+// why its recovery *overhead* is just the coefficient computation (paper
+// Fig. 9) modeled here.
 
-#include <map>
-#include <optional>
-#include <vector>
-
-#include "combination/coefficients.hpp"
-#include "combination/combine.hpp"
-#include "grid/grid2d.hpp"
+#include "combination/index_set.hpp"
 
 namespace ftr::rec {
 
-using ftr::comb::CoefficientSet;
 using ftr::comb::Scheme;
-using ftr::grid::Grid2D;
-using ftr::grid::Level;
-
-struct AcRecovery {
-  CoefficientSet coefficients;          ///< the alternate combination weights
-  std::map<int, Grid2D> recovered;      ///< lost grid id -> recovered data
-  Grid2D combined;                      ///< the alternate combined solution (full grid)
-};
-
-/// Compute the alternate combination and recover every lost grid.
-///
-/// `grids` maps grid id -> (level, data) for every *surviving* grid of the
-/// AC arrangement (combination layers + extra layers, duplicates excluded);
-/// `lost` maps lost grid id -> level.  Returns nullopt when the loss
-/// pattern is infeasible for the available extra layers.
-std::optional<AcRecovery> ac_recover(
-    const Scheme& scheme, int max_depth,
-    const std::map<int, std::pair<Level, const Grid2D*>>& grids,
-    const std::map<int, Level>& lost);
 
 /// The modeled cost of computing the alternate coefficients (the only
 /// recovery overhead the paper attributes to AC): a small number of flops

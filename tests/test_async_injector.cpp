@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "core/async_injector.hpp"
 #include "core/reconstruct.hpp"
@@ -105,4 +107,23 @@ TEST(AsyncInjector, KillAlreadyDeadIsHarmless) {
   injector.join();
   runner.join();
   EXPECT_EQ(rt.killed_count(), 1);  // double-kill not double-counted
+}
+
+TEST(AsyncInjector, KillBeforeLaunchWaitsForVictim) {
+  // The injector fires before the launch has created any process: the kill
+  // must wait for its victim instead of being dropped, or the survivors
+  // below would wait for it forever.
+  Runtime::Options o;
+  o.real_time_limit_sec = 10.0;  // a dropped kill aborts here, not at ctest's timeout
+  Runtime rt(o);
+  rt.register_app("app", [&](const std::vector<std::string>&) {
+    while (runtime().killed_count() < 1) advance(1e-9);
+  });
+  AsyncFailureInjector injector(rt, {{2}, 0, true});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread runner([&] { rt.run("app", 4); });
+  injector.join();
+  runner.join();
+  EXPECT_EQ(injector.kills_issued(), 1);
+  EXPECT_EQ(rt.killed_count(), 1);
 }

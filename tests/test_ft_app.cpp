@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "core/failure_gen.hpp"
 #include "core/ft_app.hpp"
@@ -229,4 +231,38 @@ TEST(FtAppSimulated, CrRecoveryDominatedByCheckpointIo) {
   const double ac_total = rt_ac.get(keys::kRecoveryTime, 0);
 
   EXPECT_GT(cr_total, 10.0 * ac_total);
+}
+
+TEST(FtApp, CheckpointCountIgnoredOutsideCr) {
+  // RC and AC run one interval whose detection point is the one before the
+  // combination, whatever `checkpoints` says: the run is the same at C = 0
+  // and C = 5, with no checkpoint write and exactly one repair (a respawned
+  // child resumes past the last interval instead of re-running it).
+  // Virtual times are not compared: even at a fixed C they vary from run to
+  // run, because a survivor pays the failure-detection latency only when it
+  // meets the dead peer before the revoke, which is a real-time race.
+  const auto deterministic = [](const std::string& key) {
+    return key == keys::kErrorL1 || key == keys::kRepairs || key == keys::kCkptWrites ||
+           key == keys::kReconMode || key == keys::kReconAttempts ||
+           key == keys::kRecoveryBytes || key.rfind(keys::kPlanPrefix, 0) == 0;
+  };
+  for (const Technique t : {Technique::ResamplingCopying, Technique::AlternateCombination}) {
+    std::map<std::string, double> runs[2];
+    for (const long c : {0L, 5L}) {
+      ftmpi::Runtime rt(rt_opts());
+      AppConfig cfg = small_app(t);
+      cfg.checkpoints = c;
+      cfg.failures.kill_at_step[5] = 10;
+      FtApp app(cfg);
+      EXPECT_EQ(app.launch(rt), 1) << technique_name(t) << " C=" << c;
+      EXPECT_DOUBLE_EQ(rt.get(keys::kRepairs, -1), 1.0) << technique_name(t) << " C=" << c;
+      EXPECT_DOUBLE_EQ(rt.get(keys::kCkptWrites, -1), 0.0) << technique_name(t) << " C=" << c;
+      EXPECT_GT(rt.get(keys::kTotalTime, -1), 0.0) << technique_name(t) << " C=" << c;
+      for (const auto& [key, value] : rt.results()) {
+        if (deterministic(key)) runs[c == 0 ? 0 : 1][key] = value;
+      }
+    }
+    ASSERT_EQ(runs[0].count(keys::kErrorL1), 1u) << technique_name(t);
+    EXPECT_EQ(runs[0], runs[1]) << technique_name(t);
+  }
 }

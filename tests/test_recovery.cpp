@@ -1,6 +1,7 @@
 // Tests for the three data-recovery techniques' serial kernels:
 // checkpoint store + policy, replication partners / copy / resample, and
-// alternate-combination recovery.
+// the alternate-combination coefficient cost.  The AC recovery itself runs
+// in the application's combination stage (test_ft_app*, test_combination).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <cmath>
 
 #include "advection/serial_solver.hpp"
+#include "combination/coefficients.hpp"
 #include "ftmpi/api.hpp"
 #include "ftmpi/runtime.hpp"
 #include "recovery/alternate.hpp"
@@ -184,57 +186,6 @@ TEST(Replication, ResampledSolverDataDiffersFromNativeCoarseSolve) {
   }
   EXPECT_GT(diff, 1e-6);   // genuinely different
   EXPECT_LT(diff, 1e-1);   // but close (both approximate the same PDE)
-}
-
-TEST(Alternate, RecoversLostGridNearExactlyForSmoothData) {
-  // Fill all grids from one smooth function; the alternate combination then
-  // reproduces it up to interpolation error, and the recovered grid must be
-  // close to the original.
-  const Scheme s{6, 3};
-  auto f = [](double x, double y) { return std::sin(6.28318 * x) * std::cos(6.28318 * y); };
-
-  std::map<int, std::pair<Level, const Grid2D*>> survivors;
-  std::vector<Grid2D> storage;
-  storage.reserve(16);
-  const auto slots = ftr::comb::build_grid_slots(s, Technique::AlternateCombination, 2);
-  const int lost_id = 1;
-  for (const auto& slot : slots) {
-    if (slot.id == lost_id) continue;
-    Grid2D g(slot.level);
-    g.fill(f);
-    storage.push_back(std::move(g));
-    survivors.emplace(slot.id, std::pair{slot.level, &storage.back()});
-  }
-  std::map<int, Level> lost{{lost_id, slots[lost_id].level}};
-
-  const auto result = ac_recover(s, 3, survivors, lost);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_NEAR(result->coefficients.sum(), 1.0, 1e-12);
-  ASSERT_EQ(result->recovered.size(), 1u);
-  const Grid2D& rec = result->recovered.at(lost_id);
-  const double err = ftr::grid::l1_error(rec, f);
-  // Interpolation error of the coarse layers; small for a smooth function.
-  EXPECT_LT(err, 0.05);
-}
-
-TEST(Alternate, InfeasibleWithoutExtraLayers) {
-  // Losing a *middle* diagonal grid pushes a coefficient two layers down,
-  // which is unreachable without extra layers.  (A corner diagonal loss, by
-  // contrast, is feasible even without them.)
-  const Scheme s{6, 3};
-  const auto slots = ftr::comb::build_grid_slots(s, Technique::CheckpointRestart);
-  const int lost_id = 1;  // middle diagonal grid
-  std::map<int, std::pair<Level, const Grid2D*>> survivors;
-  std::vector<Grid2D> storage;
-  storage.reserve(slots.size());
-  for (const auto& slot : slots) {
-    if (slot.id == lost_id) continue;
-    storage.emplace_back(slot.level);
-    survivors.emplace(slot.id, std::pair{slot.level, &storage.back()});
-  }
-  const auto result = ac_recover(s, /*max_depth=*/1, survivors,
-                                 {{lost_id, slots[lost_id].level}});
-  EXPECT_FALSE(result.has_value());
 }
 
 TEST(Alternate, CornerLossFeasibleEvenWithoutExtraLayers) {

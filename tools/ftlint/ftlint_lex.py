@@ -45,6 +45,15 @@ _ALLOC_MEMBERS = {
     "insert", "assign", "append",
 }
 _ALLOC_STD = {"make_unique", "make_shared"}
+# Owning std containers: constructing one with arguments allocates, whether
+# as a declaration (`std::vector<T> v(n)`, `v{...}`) or a temporary
+# (`std::vector<T>(n)`).  The tokenizer drops literals, so a constructor
+# whose only argument is a string literal reads as empty and is not seen.
+_ALLOC_CONTAINERS = {
+    "vector", "string", "basic_string", "deque", "list", "forward_list",
+    "map", "multimap", "set", "multiset", "unordered_map", "unordered_set",
+    "unordered_multimap", "unordered_multiset",
+}
 
 # FTL007: failure-detector wire formats.  A function that unpacks one of
 # these from a message payload consumes detector traffic and must validate
@@ -711,6 +720,9 @@ class Engine:
         prev = toks[i - 1].text if i > 0 else None
         if t == "new" and prev != "operator":
             return "new"
+        if (t in _ALLOC_CONTAINERS and prev == "::" and i >= 2
+                and toks[i - 2].text == "std"):
+            return self._container_ctor_at(sf, i)
         if nxt != "(":
             return None
         if t in _ALLOC_FREE_FUNCS and prev not in (".", "->"):
@@ -719,6 +731,34 @@ class Engine:
             return t
         if t in _ALLOC_STD:
             return t
+        return None
+
+    @staticmethod
+    def _container_ctor_at(sf: SourceFile, i: int) -> str | None:
+        """`std::<container>` at token i constructed with arguments, as a
+        declaration or a temporary; None for references, pointers, by-value
+        parameters, nested names, trailing return types and empty
+        (non-allocating) constructions."""
+        toks = sf.tokens
+        if i >= 3 and toks[i - 3].text == "->":
+            return None  # `-> std::vector<T> {` is a lambda's return type
+        j = i + 1
+        if j < len(toks) and toks[j].text == "<":
+            depth = 0
+            for j in range(j, len(toks)):
+                if toks[j].text == "<":
+                    depth += 1
+                elif toks[j].text == ">":
+                    depth -= 1
+                    if depth == 0:
+                        break
+            j += 1
+        if j < len(toks) and _is_name(toks[j].text):
+            j += 1  # the declared variable
+        if j + 1 < len(toks) and toks[j].text in ("(", "{"):
+            close = ")" if toks[j].text == "(" else "}"
+            if toks[j + 1].text != close:
+                return f"std::{toks[i].text} constructor"
         return None
 
     # -- FTL004 -------------------------------------------------------------

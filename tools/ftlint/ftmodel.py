@@ -47,12 +47,12 @@ from ftlint_lex import Finding, SourceFile, _is_name
 #: Operations in which every rank of the communicator must participate.
 COLLECTIVES = {
     "barrier", "bcast", "bcast_bytes", "gather", "gather_bytes", "gatherv",
-    "allgather", "reduce", "allreduce", "scatter", "scatter_bytes",
-    "scatterv_bytes", "comm_agree", "comm_shrink", "comm_split", "comm_dup",
+    "reduce", "allreduce", "scatter", "scatter_bytes", "scatterv_bytes",
+    "comm_agree", "comm_shrink", "comm_split", "comm_dup",
     "comm_spawn_multiple", "intercomm_merge",
-    "MPI_Barrier", "MPI_Bcast", "MPI_Allreduce", "MPI_Reduce", "MPI_Gather",
-    "MPI_Gatherv", "MPI_Scatter", "MPI_Allgather", "MPI_Comm_split",
-    "MPI_Comm_dup", "MPI_Comm_spawn_multiple", "MPI_Intercomm_merge",
+    "MPI_Barrier", "MPI_Bcast", "MPI_Allreduce", "MPI_Gather", "MPI_Gatherv",
+    "MPI_Scatter", "MPI_Comm_split", "MPI_Comm_dup",
+    "MPI_Comm_spawn_multiple", "MPI_Intercomm_merge",
     "OMPI_Comm_agree", "OMPI_Comm_shrink",
 }
 
