@@ -60,7 +60,7 @@ void send_det(ProcessState& ps, ProcId dst, int tag, const std::vector<std::byte
   msg.src_pid = ps.pid;
   msg.payload = payload;
   msg.arrive = ps.vclock + cm.latency(same_host);
-  rt.record_message(payload.size(), !same_host);
+  ps.count_send(payload.size(), !same_host);
   rt.deliver(dst, std::move(msg));
 }
 

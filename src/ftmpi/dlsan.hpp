@@ -60,7 +60,7 @@ void on_proc_released(const void* rt, ProcId pid);
 /// Mark the calling rank live (thread_main(), before the entry runs).
 void on_thread_start();
 
-/// Mark the calling rank gone (thread_main(), after notify_all_procs —
+/// Mark the calling rank gone (thread_main(), before notify_all_procs —
 /// peers re-evaluate their predicates against the shrunk live set).
 void on_thread_exit();
 
@@ -83,13 +83,13 @@ void on_block_probe(const Comm& c, int src, int tag,
 /// Clear the calling rank's registration (immediately after the cv wait).
 void on_unblock();
 
-/// A message was delivered to `dst` of runtime `rt`: its wait predicate
-/// may now pass, so its registration is no longer a blocked fact.
+/// `dst` of runtime `rt` was woken — by a delivery its blocked wait accepts
+/// (or detector traffic), or by notify_all_procs() after a kill, revoke,
+/// interrupt or peer exit: its wait predicate may now pass, so its
+/// registration is no longer a blocked fact.  Called under dst's mailbox
+/// lock, together with clearing its `waiting` flag; an event that wakes
+/// nobody leaves the registration in place.
 void on_wake(const void* rt, ProcId dst);
-
-/// Every rank of `rt` was notified (kill, revoke, peer exit): all wait
-/// predicates re-evaluate, so every registration is cleared.
-void on_notify_all(const void* rt);
 
 /// A real-time waker (async failure injector thread) is armed/disarmed:
 /// while any is armed, wall-clock events can unblock ranks behind the

@@ -114,6 +114,35 @@ bool buffered_match(const Message& m, const Comm& c, int src, int tag) {
   return c.is_inter() ? (m.src_side != side) : (m.src_side == side);
 }
 
+/// The first queued message a user-plane receive on `c` for (src, tag)
+/// would take, or nullptr.  ps.mu held.
+const Message* find_buffered(const ProcessState& ps, const Comm& c, int src, int tag) {
+  for (const Message& m : ps.mailbox) {
+    if (buffered_match(m, c, src, tag)) return &m;
+  }
+  return nullptr;
+}
+
+/// True when the named sender `src` (never kAnySource) died or exited.
+bool sender_gone(const Comm& c, int src) {
+  if (src == kAnySource) return false;
+  const Group& senders = c.is_inter() ? c.remote_group() : c.group();
+  const ProcessState& sender = detail::rt().proc(senders.pids.at(static_cast<size_t>(src)));
+  return sender.dead.load() || sender.finished.load();
+}
+
+/// Report the probed message `m` (flag and optional status).
+int report_probed(const Message& m, int* flag, Status* status) {
+  *flag = 1;
+  if (status != nullptr) {
+    status->source = m.src_rank;
+    status->tag = m.tag;
+    status->error = kSuccess;
+    status->count = static_cast<int>(m.payload.size());
+  }
+  return kSuccess;
+}
+
 }  // namespace
 
 int iprobe(int src, int tag, const Comm& c, int* flag, Status* status) {
@@ -129,28 +158,11 @@ int iprobe(int src, int tag, const Comm& c, int* flag, Status* status) {
     return kErrRevoked;
   }
   ProcessState& ps = detail::self();
-  const bool inter = c.is_inter();
   std::lock_guard<std::mutex> lock(ps.mu);
-  for (const Message& m : ps.mailbox) {
-    if (!buffered_match(m, c, src, tag)) continue;
-    *flag = 1;
-    if (status != nullptr) {
-      status->source = m.src_rank;
-      status->tag = m.tag;
-      status->error = kSuccess;
-      status->count = static_cast<int>(m.payload.size());
-    }
-    return kSuccess;
-  }
+  if (const Message* m = find_buffered(ps, c, src, tag)) return report_probed(*m, flag, status);
   // Nothing buffered; report a failed named peer so callers do not spin on
   // a crashed sender.
-  if (src != kAnySource) {
-    const Group& senders = inter ? c.remote_group() : c.group();
-    const ProcId pid = senders.pids.at(static_cast<size_t>(src));
-    ProcessState& sender = detail::rt().proc(pid);
-    if (sender.dead.load() || sender.finished.load()) return kErrProcFailed;
-  }
-  return kSuccess;
+  return sender_gone(c, src) ? kErrProcFailed : kSuccess;
 }
 
 FTR_YIELD int probe(int src, int tag, const Comm& c, Status* status) {
@@ -163,9 +175,17 @@ FTR_YIELD int probe(int src, int tag, const Comm& c, Status* status) {
     ProcessState& ps = detail::self();
     std::unique_lock<std::mutex> lock(ps.mu);
     if (ps.dead.load()) throw ProcessKilled{ps.pid};
+    // Re-check under the mailbox lock: a delivery, revoke or peer exit that
+    // landed after iprobe released it found no waiter to wake.
+    if (find_buffered(ps, c, src, tag) != nullptr || c.is_revoked() || sender_gone(c, src)) {
+      continue;
+    }
     const bool deadlock = ps.rt->checks().deadlock;
     if (deadlock) dlsan::on_block_probe(c, src, tag);
+    ps.waiting = true;
+    ps.wait_match = nullptr;  // any message may be the probed one
     ps.cv.wait(lock);
+    ps.waiting = false;
     if (deadlock) dlsan::on_unblock();
   }
 }
@@ -178,17 +198,7 @@ int iprobe_buffered(int src, int tag, const Comm& c, int* flag, Status* status) 
   // sits in the mailbox is a local question, answerable on a broken world.
   ProcessState& ps = detail::self();
   std::lock_guard<std::mutex> lock(ps.mu);
-  for (const Message& m : ps.mailbox) {
-    if (!buffered_match(m, c, src, tag)) continue;
-    *flag = 1;
-    if (status != nullptr) {
-      status->source = m.src_rank;
-      status->tag = m.tag;
-      status->error = kSuccess;
-      status->count = static_cast<int>(m.payload.size());
-    }
-    return kSuccess;
-  }
+  if (const Message* m = find_buffered(ps, c, src, tag)) return report_probed(*m, flag, status);
   return kSuccess;
 }
 

@@ -81,11 +81,9 @@ void post(ProcId dst, Message msg, std::size_t bytes) {
   ps.vclock += cm.send_overhead + cm.transfer_time(bytes, same_host);
   msg.src_pid = ps.pid;
   msg.arrive = ps.vclock + cm.latency(same_host);
-  r.record_message(bytes, !same_host);
+  ps.count_send(bytes, !same_host);
   r.deliver(dst, std::move(msg));
 }
-
-using MatchFn = bool (*)(const Message&, const void*);
 
 struct WaitSpec {
   MatchFn match = nullptr;
@@ -106,7 +104,9 @@ struct WaitSpec {
 
 /// The single blocking wait used by every receive path.  Only atomics and
 /// the owner's mailbox lock are touched inside the loop (no Runtime mutex),
-/// keeping the lock order acyclic with kill()/deliver().
+/// keeping the lock order acyclic with kill()/deliver().  Every predicate is
+/// checked under ps.mu, and the wait is published there before cv.wait, so
+/// a matching delivery or a notify_all_procs() can never slip in between.
 FTR_YIELD int wait_for_message(const WaitSpec& spec, Message* out) {
   ProcessState& ps = self();
   const CostModel& cm = ps.rt->cost();
@@ -170,7 +170,11 @@ FTR_YIELD int wait_for_message(const WaitSpec& spec, Message* out) {
                       spec.interrupt, spec.interrupt_expect, spec.interrupt2,
                       spec.interrupt2_expect);
     }
+    ps.waiting = true;
+    ps.wait_match = spec.match;
+    ps.wait_arg = spec.match_arg;
     ps.cv.wait(lock);
+    ps.waiting = false;
     if (checks.deadlock) dlsan::on_unblock();
   }
 }

@@ -77,15 +77,7 @@ Runtime::Runtime(Options opt)
 Runtime::~Runtime() {
   // All threads were joined by run(); joining again here covers the case
   // where a Runtime is destroyed after an aborted construction path.
-  // Join without holding mu_ (see run()).
-  std::vector<std::thread*> to_join;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& ps : procs_) {
-      if (ps->thread.joinable()) to_join.push_back(&ps->thread);
-    }
-  }
-  for (std::thread* t : to_join) t->join();
+  join_threads();
   // Pids and context ids restart per Runtime (and stack Runtimes can reuse
   // an address), so the checkers must forget this instance.
   if (checks_.protocol) psan::on_runtime_destroyed(this);
@@ -171,9 +163,9 @@ void Runtime::fail_host(int host) {
     std::lock_guard<std::mutex> lock(mu_);
     if (host < 0 || static_cast<size_t>(host) >= hosts_.size()) return;
     host_failed_[static_cast<size_t>(host)] = true;
-    for (const auto& ps : procs_) {
-      if (ps->host != host) continue;
-      if (ProcessState* v = mark_dead_locked(ps->pid)) victims.push_back(v);
+    for (ProcId pid = 0; pid < nprocs_.load(); ++pid) {
+      if (find(pid)->host != host) continue;
+      if (ProcessState* v = mark_dead_locked(pid)) victims.push_back(v);
     }
   }
   FTR_INFO("ftmpi: node failure on host %d kills %zu processes", host, victims.size());
@@ -190,28 +182,34 @@ bool Runtime::host_failed(int host) const {
 ProcId Runtime::create_process(const std::string& app, std::vector<std::string> argv,
                                int preferred_host, double start_clock) {
   std::lock_guard<std::mutex> lock(mu_);
+  const ProcId pid = nprocs_.load(std::memory_order_relaxed);
+  if (pid >= kMaxChunks * kChunkSize) throw std::length_error("ftmpi: process table full");
   const auto [host, slot] = allocate_slot_locked(preferred_host);
   if (host < 0) return kNullProc;
-  auto ps = std::make_unique<ProcessState>();
+  auto& chunk = table_[static_cast<size_t>(pid >> kChunkBits)];
+  if (!chunk) chunk = std::make_unique<std::unique_ptr<ProcessState>[]>(kChunkSize);
+  auto& ps = chunk[static_cast<size_t>(pid & (kChunkSize - 1))];
+  ps = std::make_unique<ProcessState>();
   ps->rt = this;
-  ps->pid = static_cast<ProcId>(procs_.size());
+  ps->pid = pid;
   ps->app = app;
   ps->argv = std::move(argv);
   ps->vclock = start_clock;
   ps->host = host;
   ps->slot = slot;
-  procs_.push_back(std::move(ps));
   // Registered before any thread exists: run() creates the whole world
   // before starting rank 0, so the deadlock sanitizer never mistakes a
   // not-yet-started peer for an absent one.
-  if (checks_.deadlock) dlsan::on_proc_created(this, procs_.back().get());
-  return procs_.back()->pid;
+  if (checks_.deadlock) dlsan::on_proc_created(this, ps.get());
+  nprocs_.store(pid + 1, std::memory_order_release);
+  return pid;
 }
 
 void Runtime::release_unstarted(ProcId pid) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (pid < 0 || static_cast<size_t>(pid) >= procs_.size()) return;
-  ProcessState& ps = *procs_[static_cast<size_t>(pid)];
+  ProcessState* found = find(pid);
+  if (found == nullptr) return;
+  ProcessState& ps = *found;
   if (ps.thread.joinable() || ps.finished.load()) return;  // already started
   ps.dead.store(true);
   ps.finished.store(true);
@@ -220,10 +218,9 @@ void Runtime::release_unstarted(ProcId pid) {
 }
 
 void Runtime::start_process(ProcId pid) {
-  ProcessState* ps = nullptr;
+  ProcessState* ps = &proc(pid);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ps = procs_.at(static_cast<size_t>(pid)).get();
     ++active_;
   }
   ps->started.store(true);
@@ -255,17 +252,36 @@ void Runtime::thread_main(ProcessState* ps) {
   } else {
     FTR_ERROR("ftmpi: pid %d: no registered app named '%s'", ps->pid, ps->app.c_str());
   }
-  ps->finished.store(true);
-  membership_epoch_.fetch_add(1);
+  bool killed = false;
   {
+    // Under mu_, like mark_dead_locked(): a kill either lands before this
+    // (and is recorded here) or finds the process finished (and is a no-op).
     std::lock_guard<std::mutex> lock(mu_);
+    ps->finished.store(true);
+    killed = ps->dead.load();
     --active_;
   }
+  // The victim records its own kill, on its own thread and clock.
+  if (killed) trace_.record(ps->vclock, ps->pid, TraceEvent::Kill, ps->world_rank);
+  membership_epoch_.fetch_add(1);
   done_cv_.notify_all();
   // Peers blocked on this process must re-evaluate their wait predicates.
   if (checks_.deadlock) dlsan::on_thread_exit();
   notify_all_procs();
   tls_proc = nullptr;
+}
+
+void Runtime::join_threads() {
+  // Join without holding mu_, so no thread's exit path can block on the
+  // joiner.
+  std::vector<std::thread*> to_join;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (ProcId pid = 0; pid < nprocs_.load(); ++pid) {
+      if (find(pid)->thread.joinable()) to_join.push_back(&find(pid)->thread);
+    }
+  }
+  for (std::thread* t : to_join) t->join();
 }
 
 int Runtime::run(const std::string& app, int world_size, std::vector<std::string> argv) {
@@ -309,17 +325,7 @@ int Runtime::run(const std::string& app, int world_size, std::vector<std::string
       }
     }
   }
-  // Join without holding mu_: an exiting thread's wrapper still calls
-  // notify_all_procs() (which needs mu_) after decrementing the active
-  // count, so joining under the lock would deadlock against it.
-  std::vector<std::thread*> to_join;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& ps : procs_) {
-      if (ps->thread.joinable()) to_join.push_back(&ps->thread);
-    }
-  }
-  for (std::thread* t : to_join) t->join();
+  join_threads();
   // Fold every rank clock into the driver clock so the next run() on this
   // runtime is ordered after this one (blackboard keys are often reused).
   if (checks_.vtsan) vtsan::on_run_complete(this);
@@ -327,8 +333,8 @@ int Runtime::run(const std::string& app, int world_size, std::vector<std::string
 }
 
 ProcessState* Runtime::mark_dead_locked(ProcId pid) {
-  if (pid < 0 || static_cast<size_t>(pid) >= procs_.size()) return nullptr;
-  ProcessState* ps = procs_[static_cast<size_t>(pid)].get();
+  ProcessState* ps = find(pid);
+  if (ps == nullptr) return nullptr;
   if (ps->dead.load() || ps->finished.load()) return nullptr;
   ps->dead.store(true);
   // Free the host slot so repair can re-spawn on the same node, which is
@@ -351,41 +357,33 @@ void Runtime::announce_kill(ProcessState* ps) {
   killed_.fetch_add(1);
   failure_epoch_.fetch_add(1);
   membership_epoch_.fetch_add(1);
-  trace_.record(ps->vclock, pid, TraceEvent::Kill, ps->world_rank);
   notify_all_procs();
   FTR_DEBUG("ftmpi: killed pid %d (world rank %d)", pid, ps->world_rank);
 }
 
 bool Runtime::is_dead(ProcId pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (pid < 0 || static_cast<size_t>(pid) >= procs_.size()) return true;
-  return procs_[static_cast<size_t>(pid)]->dead.load();
+  const ProcessState* ps = find(pid);
+  return ps == nullptr || ps->dead.load();
 }
 
 std::vector<ProcId> Runtime::dead_members(const Group& g) const {
   std::vector<ProcId> out;
-  std::lock_guard<std::mutex> lock(mu_);
   for (ProcId p : g.pids) {
-    if (procs_[static_cast<size_t>(p)]->dead.load()) out.push_back(p);
+    if (proc(p).dead.load()) out.push_back(p);
   }
   return out;
 }
 
-int Runtime::host_of(ProcId pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return procs_.at(static_cast<size_t>(pid))->host;
-}
+int Runtime::host_of(ProcId pid) const { return proc(pid).host; }
 
-int Runtime::total_processes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(procs_.size());
-}
+int Runtime::total_processes() const { return nprocs_.load(std::memory_order_acquire); }
 
 std::vector<ProcId> Runtime::active_pids() const {
   std::vector<ProcId> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  out.reserve(procs_.size());
-  for (const auto& ps : procs_) {
+  const int n = nprocs_.load(std::memory_order_acquire);
+  out.reserve(static_cast<size_t>(n));
+  for (ProcId pid = 0; pid < n; ++pid) {
+    const ProcessState* ps = find(pid);
     // A process leaves the RTE-visible membership only by *deregistering
     // cleanly* (finishing without having been killed).  A crashed process
     // stays listed — its silence in the heartbeat ring is exactly what the
@@ -419,59 +417,62 @@ std::shared_ptr<CommContext> Runtime::find_context(std::uint64_t id) const {
   return it == contexts_.end() ? nullptr : it->second;
 }
 
-ProcessState& Runtime::proc(ProcId pid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return *procs_.at(static_cast<size_t>(pid));
-}
-
-const ProcessState& Runtime::proc(ProcId pid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return *procs_.at(static_cast<size_t>(pid));
+ProcessState& Runtime::proc(ProcId pid) const {
+  ProcessState* ps = find(pid);
+  if (ps == nullptr) throw std::out_of_range("ftmpi: no process with pid " + std::to_string(pid));
+  return *ps;
 }
 
 void Runtime::deliver(ProcId dst, Message msg) {
   if (checks_.vtsan) vtsan::stamp_send(msg);
-  ProcessState* ps = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dst < 0 || static_cast<size_t>(dst) >= procs_.size()) return;
-    ps = procs_[static_cast<size_t>(dst)].get();
-  }
+  ProcessState* ps = find(dst);
+  if (ps == nullptr) return;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(ps->mu);
     if (ps->dead.load()) return;  // the network cannot deliver to a crashed process
-    if (msg.ctrl && (msg.tag == tags::kHeartbeat || msg.tag == tags::kGossip)) {
-      ps->det_pending.fetch_add(1, std::memory_order_relaxed);
-    }
+    const bool det = msg.ctrl && (msg.tag == tags::kHeartbeat || msg.tag == tags::kGossip);
+    if (det) ps->det_pending.fetch_add(1, std::memory_order_relaxed);
+    // Only a message that can end the owner's wait wakes it: one its
+    // receive matches, or detector traffic, which the wait loop drains.
+    wake = ps->waiting &&
+           (det || ps->wait_match == nullptr || ps->wait_match(msg, ps->wait_arg));
     ps->mailbox.push_back(std::move(msg));
+    if (wake) {
+      ps->waiting = false;
+      if (checks_.deadlock) dlsan::on_wake(this, dst);
+    }
   }
-  if (checks_.deadlock) dlsan::on_wake(this, dst);
-  ps->cv.notify_all();
+  if (wake) ps->cv.notify_one();
 }
 
 void Runtime::notify_all_procs() {
-  if (checks_.deadlock) dlsan::on_notify_all(this);
-  std::vector<ProcessState*> all;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    all.reserve(procs_.size());
-    for (auto& ps : procs_) all.push_back(ps.get());
+  const int n = nprocs_.load(std::memory_order_acquire);
+  for (ProcId pid = 0; pid < n; ++pid) {
+    ProcessState& ps = *find(pid);
+    bool wake = false;
+    {
+      std::lock_guard<std::mutex> lock(ps.mu);
+      wake = ps.waiting;
+      ps.waiting = false;
+      // Cleared with `waiting`, under the same lock: a rank the deadlock
+      // checker sees registered is one nobody has woken yet.
+      if (wake && checks_.deadlock) dlsan::on_wake(this, pid);
+    }
+    if (wake) ps.cv.notify_one();
   }
-  for (auto* ps : all) ps->cv.notify_all();
 }
 
 Runtime::Stats Runtime::stats() const {
   Stats s;
-  s.messages = msg_count_.load();
-  s.bytes = msg_bytes_.load();
-  s.cross_host = msg_cross_host_.load();
+  const int n = nprocs_.load(std::memory_order_acquire);
+  for (ProcId pid = 0; pid < n; ++pid) {
+    const ProcessState* ps = find(pid);
+    s.messages += ps->sent_messages.load(std::memory_order_relaxed);
+    s.bytes += ps->sent_bytes.load(std::memory_order_relaxed);
+    s.cross_host += ps->sent_cross_host.load(std::memory_order_relaxed);
+  }
   return s;
-}
-
-void Runtime::record_message(std::size_t bytes, bool cross_host) {
-  msg_count_.fetch_add(1, std::memory_order_relaxed);
-  msg_bytes_.fetch_add(static_cast<long long>(bytes), std::memory_order_relaxed);
-  if (cross_host) msg_cross_host_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Runtime::put(const std::string& key, double value) {
@@ -505,8 +506,8 @@ void Runtime::clear_results() {
 }
 
 void Runtime::dump_state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& ps : procs_) {
+  for (ProcId pid = 0; pid < total_processes(); ++pid) {
+    ProcessState* ps = find(pid);
     std::lock_guard<std::mutex> plock(ps->mu);
     FTR_ERROR("  pid=%d rank=%d host=%d dead=%d finished=%d mailbox=%zu vclock=%.6f",
               ps->pid, ps->world_rank, ps->host, ps->dead.load() ? 1 : 0,

@@ -12,7 +12,20 @@
 // process dead and frees its host slot; the victim's thread unwinds (via
 // ProcessKilled) at its next runtime call, and every operation by a peer
 // that depends on the victim eventually returns kErrProcFailed.
+//
+// Locking.  The message path (send, receive, deliver, the wait loop) takes
+// only the destination's or the owner's ProcessState::mu.  Processes live in
+// an append-only table that never moves (pids are dense and never reused),
+// so is_dead/host_of/proc/deliver read it without any runtime-wide lock;
+// Runtime::mu_ guards only slot placement, the app registry and the active
+// count.  A blocked rank publishes its match predicate under its own mu and
+// deliver() wakes it only for a message that can end the wait.  Every flag
+// another thread sets without the waiter's lock (dead, finished, revoked, an
+// interrupt counter) is followed by notify_all_procs(), which takes each
+// waiting owner's mu before it notifies, so no wake-up is lost between the
+// waiter's predicate check and its cv.wait.
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -57,8 +70,12 @@ struct Message {
 
 class Runtime;
 
+/// A receive's match predicate over a queued message and its opaque key.
+using MatchFn = bool (*)(const Message&, const void*);
+
 /// Per-process runtime state.  The owning thread is the only writer of
-/// vclock; the mailbox and flags are guarded by mu.
+/// vclock and of the sent-traffic counters; the mailbox and the published
+/// wait are guarded by mu.
 struct ProcessState {
   Runtime* rt = nullptr;
   ProcId pid = kNullProc;
@@ -71,6 +88,13 @@ struct ProcessState {
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Message> mailbox;
+  /// The owner's blocked wait, published under mu right before cv.wait:
+  /// deliver() wakes it only for a message wait_match accepts (null = any
+  /// message, the blocking probe) or a detector message.  Whoever wakes
+  /// the owner clears `waiting`, so later events skip the redundant notify.
+  bool waiting = false;
+  MatchFn wait_match = nullptr;
+  const void* wait_arg = nullptr;
   std::atomic<bool> dead{false};
   std::atomic<bool> finished{false};
   /// Set by start_process(); created-but-unstarted processes are invisible
@@ -78,6 +102,21 @@ struct ProcessState {
   std::atomic<bool> started{false};
 
   double vclock = 0.0;
+
+  /// Traffic this process sent (summed by Runtime::stats()).  Relaxed
+  /// atomics so stats() may read them while the owner runs; only the owner
+  /// writes them, so no read-modify-write is needed.
+  std::atomic<long long> sent_messages{0};
+  std::atomic<long long> sent_bytes{0};
+  std::atomic<long long> sent_cross_host{0};
+  void count_send(std::size_t bytes, bool cross_host) {
+    const auto bump = [](std::atomic<long long>& c, long long by) {
+      c.store(c.load(std::memory_order_relaxed) + by, std::memory_order_relaxed);
+    };
+    bump(sent_messages, 1);
+    bump(sent_bytes, static_cast<long long>(bytes));
+    if (cross_host) bump(sent_cross_host, 1);
+  }
 
   /// Number of detector-channel messages (heartbeats/gossip) queued in the
   /// mailbox; bumped by deliver() under mu, reset by detector::drain().
@@ -160,6 +199,7 @@ class Runtime {
   void fail_host(int host);
   [[nodiscard]] bool host_failed(int host) const;
 
+  /// Lock-free; true for a pid that was never created.
   [[nodiscard]] bool is_dead(ProcId pid) const;
   [[nodiscard]] std::vector<ProcId> dead_members(const Group& g) const;
 
@@ -191,7 +231,6 @@ class Runtime {
     long long cross_host = 0; ///< messages that crossed a host boundary
   };
   [[nodiscard]] Stats stats() const;
-  void record_message(std::size_t bytes, bool cross_host);
 
   [[nodiscard]] const Checks& checks() const { return checks_; }
 
@@ -231,14 +270,17 @@ class Runtime {
   }
   [[nodiscard]] bool has_chaos_hook() const { return static_cast<bool>(chaos_hook_); }
 
-  [[nodiscard]] ProcessState& proc(ProcId pid);
-  [[nodiscard]] const ProcessState& proc(ProcId pid) const;
+  /// The process with this pid (lock-free); throws std::out_of_range for a
+  /// pid that was never created.
+  [[nodiscard]] ProcessState& proc(ProcId pid) const;
 
   /// Enqueue a message; drops silently if the destination is dead
   /// (matching a network that cannot deliver to a crashed process).
   void deliver(ProcId dst, Message msg);
-  /// Wake every blocked process so waiting predicates re-evaluate
-  /// (used by kill and revoke).
+  /// Wake every blocked process so waiting predicates re-evaluate.  Call it
+  /// after setting a flag that a wait predicate reads (kill, revoke, rank
+  /// exit, an interrupt counter); it takes each waiting owner's mu, which
+  /// orders the flag before that owner's next predicate check.
   void notify_all_procs();
 
   // --- results blackboard ---------------------------------------------------
@@ -255,7 +297,23 @@ class Runtime {
   static ProcessState* current();
 
  private:
+  /// Processes per table chunk, and chunks per table.
+  static constexpr int kChunkBits = 10;
+  static constexpr int kChunkSize = 1 << kChunkBits;
+  static constexpr int kMaxChunks = 1024;
+
+  /// The process with this pid, or nullptr when no such pid was published.
+  /// Lock-free: the table only grows, and a slot is written before the
+  /// release store of nprocs_ that publishes it.
+  [[nodiscard]] ProcessState* find(ProcId pid) const {
+    if (pid < 0 || pid >= nprocs_.load(std::memory_order_acquire)) return nullptr;
+    return table_[static_cast<size_t>(pid >> kChunkBits)]
+                 [static_cast<size_t>(pid & (kChunkSize - 1))]
+                     .get();
+  }
   void thread_main(ProcessState* ps);
+  /// Join every started rank thread (run() and ~Runtime).
+  void join_threads();
   /// Mark `pid` dead and free its slot (mu_ held); nullptr if it already
   /// died or finished.  announce_kill() then publishes the death.
   ProcessState* mark_dead_locked(ProcId pid);
@@ -265,9 +323,14 @@ class Runtime {
   void dump_state() const;
 
   Options opt_;
-  mutable std::mutex mu_;  // guards procs_, hosts_, apps_, active_
+  Checks checks_;
+  /// Append-only process table: chunks of kChunkSize slots, allocated under
+  /// mu_ and never moved or freed before ~Runtime.  nprocs_ publishes them.
+  std::array<std::unique_ptr<std::unique_ptr<ProcessState>[]>, kMaxChunks> table_;
+  std::atomic<int> nprocs_{0};
+
+  mutable std::mutex mu_;  // guards slot placement (table appends, hosts_), apps_, active_
   std::condition_variable done_cv_;
-  std::vector<std::unique_ptr<ProcessState>> procs_;
   std::vector<std::vector<bool>> hosts_;  // hosts_[h][s] = slot occupied
   std::vector<bool> host_failed_;         // failed nodes: slots unusable
   std::map<int, int> host_substitute_;    // failed host -> its spare replacement
@@ -277,9 +340,6 @@ class Runtime {
   std::atomic<std::uint64_t> failure_epoch_{0};
   std::atomic<std::uint64_t> membership_epoch_{0};
   std::atomic<int> killed_{0};
-  std::atomic<long long> msg_count_{0};
-  std::atomic<long long> msg_bytes_{0};
-  std::atomic<long long> msg_cross_host_{0};
 
   mutable std::mutex ctx_mu_;
   std::map<std::uint64_t, std::shared_ptr<CommContext>> contexts_;
@@ -291,10 +351,6 @@ class Runtime {
   ChaosHook chaos_hook_;
 
   Trace trace_;
-  // Last on purpose: a field inserted between opt_ and mu_ moves the hot
-  // runtime mutex onto another cache line, which cost ~10% CPU on a
-  // 608-rank failure-free run (4 cores).
-  Checks checks_;
 };
 
 }  // namespace ftmpi

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "ftmpi/api.hpp"
@@ -290,6 +291,59 @@ TEST(FtmpiBasic, LargePayloadTransfersIntact) {
   });
   rt.run("main", 2);
   EXPECT_TRUE(ok.load());
+}
+
+TEST(FtmpiBasic, ProcessTableGrowsPastOneChunkWhileRanksMessage) {
+  // A harness thread places more processes than one table chunk holds while
+  // a small world keeps exchanging messages, then retires them unstarted:
+  // no thread is started for them, and every lookup stays exact.
+  Runtime rt(small_opts());
+  constexpr int kWorld = 4;
+  constexpr int kExtra = 1100;  // more than one 1024-slot chunk
+  std::atomic<bool> ranks_up{false};
+  std::atomic<bool> harness_done{false};
+  std::atomic<int> exchanges{0};
+  rt.register_app("ring", [&](const std::vector<std::string>&) {
+    Comm& w = world();
+    const int right = (w.rank() + 1) % w.size();
+    const int left = (w.rank() + w.size() - 1) % w.size();
+    for (int stop = 0; stop == 0;) {
+      int in = -1;
+      const int out = w.rank();
+      if (sendrecv(&out, 1, right, 0, &in, 1, left, 0, w) != kSuccess || in != left) return;
+      if (w.rank() == 0) {
+        ++exchanges;
+        ranks_up = true;
+      }
+      // Every rank stops in the same round.
+      int mine = harness_done.load() ? 1 : 0;
+      if (allreduce(&mine, &stop, 1, ReduceOp::Max, w) != kSuccess) return;
+    }
+  });
+  std::thread harness([&] {
+    while (!ranks_up.load()) std::this_thread::yield();
+    std::vector<ProcId> extra;
+    for (int i = 0; i < kExtra; ++i) extra.push_back(rt.create_process("ring", {}, -1, 0.0));
+    for (ProcId pid : extra) {
+      EXPECT_NE(pid, kNullProc);
+      EXPECT_EQ(rt.proc(pid).pid, pid);
+      EXPECT_FALSE(rt.is_dead(pid));
+      EXPECT_EQ(rt.host_of(pid), rt.proc(pid).host);
+    }
+    for (ProcId pid : extra) rt.release_unstarted(pid);
+    for (ProcId pid : extra) EXPECT_TRUE(rt.is_dead(pid));
+    for (ProcId pid = 0; pid < kWorld; ++pid) EXPECT_FALSE(rt.is_dead(pid));
+    const ProcId past = rt.total_processes();
+    EXPECT_EQ(past, kWorld + kExtra);
+    EXPECT_TRUE(rt.is_dead(past));
+    EXPECT_TRUE(rt.is_dead(-1));
+    EXPECT_THROW((void)rt.proc(past), std::out_of_range);
+    EXPECT_THROW((void)rt.host_of(past), std::out_of_range);
+    harness_done = true;
+  });
+  EXPECT_EQ(rt.run("ring", kWorld), 0);
+  harness.join();
+  EXPECT_GT(exchanges.load(), 0);
 }
 
 TEST(RuntimeChecks, SelectorEnablesExactlyTheNamedCheckers) {

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "ftmpi/api.hpp"
+#include "ftmpi/dlsan.hpp"
 #include "ftmpi/runtime.hpp"
 
 using namespace ftmpi;
@@ -430,4 +432,44 @@ TEST(FtmpiFailures, ExternalKillFromHarnessThread) {
   });
   rt.run("main", 2);
   EXPECT_EQ(code.load(), kErrProcFailed);
+}
+
+TEST(FtmpiFailures, KillWakesIdleWatcher) {
+  // No detector and no other traffic: the only thing that can end rank 0's
+  // receive is the wake-up of a kill a thread outside the rank world issues
+  // against its peer.  The kill lands at varying points around the moment
+  // rank 0 blocks; a wake-up lost in that window hangs the run, and the
+  // short watchdog turns the hang into an abort.
+  Runtime::Options opt = small_opts();
+  opt.detector.enabled = false;
+  opt.real_time_limit_sec = 10.0;
+  constexpr ProcId kPeer = 1;  // run() creates world rank r as pid r
+  int wrong = 0;
+  for (int i = 0; i < 2000; ++i) {
+    Runtime rt(opt);
+    std::atomic<bool> blocking{false};
+    std::atomic<int> code{-1};
+    rt.register_app("main", [&](const std::vector<std::string>&) {
+      Comm& w = world();
+      int v = 0;
+      if (w.rank() == 0) {
+        blocking = true;
+        code = recv(&v, 1, 1, 0, w);
+      } else {
+        (void)recv(&v, 1, 0, 0, w);  // never satisfied: the harness kills this rank
+      }
+    });
+    // The killer is a wall-clock waker the deadlock checker must not judge.
+    if (rt.checks().deadlock) dlsan::on_waker_arm();
+    std::thread killer([&] {
+      while (!blocking.load()) std::this_thread::yield();
+      for (int k = 0; k < i % 32; ++k) std::this_thread::yield();
+      rt.kill(kPeer);
+    });
+    rt.run("main", 2);
+    killer.join();
+    if (rt.checks().deadlock) dlsan::on_waker_disarm();
+    if (code.load() != kErrProcFailed) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0);
 }

@@ -50,6 +50,31 @@ TEST(Stats, CrossHostCountedSeparately) {
   EXPECT_EQ(s.cross_host, 1);
 }
 
+TEST(Stats, RingOverTwoHostsGivesExactTotals) {
+  // Ranks 0,1 share host 0 and ranks 2,3 host 1, so of the four ring edges
+  // 1->2 and 3->0 cross a host boundary.
+  Runtime::Options o;
+  o.slots_per_host = 2;
+  o.detector.enabled = false;  // no heartbeats in the totals
+  Runtime rt(o);
+  constexpr int kRounds = 5;
+  constexpr int kInts = 3;
+  rt.register_app("main", [&](const std::vector<std::string>&) {
+    Comm& w = world();
+    const int out[kInts] = {w.rank(), 1, 2};
+    int in[kInts] = {};
+    for (int r = 0; r < kRounds; ++r) {
+      (void)send(out, kInts, (w.rank() + 1) % 4, 0, w);
+      (void)recv(in, kInts, (w.rank() + 3) % 4, 0, w);
+    }
+  });
+  rt.run("main", 4);
+  const auto s = rt.stats();
+  EXPECT_EQ(s.messages, 4 * kRounds);
+  EXPECT_EQ(s.bytes, static_cast<long long>(4 * kRounds * kInts * sizeof(int)));
+  EXPECT_EQ(s.cross_host, 2 * kRounds);
+}
+
 // Randomized shrink/agree invariants: for any failure subset (never rank 0),
 // shrink yields exactly the survivors in order, and agree converges on the
 // AND of the survivors' flags.

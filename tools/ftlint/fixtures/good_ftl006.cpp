@@ -15,6 +15,20 @@ int revoke_and_bail(Comm& c, double* buf) {
   return ftmpi::barrier(c);
 }
 
+// A helper whose summary revokes its parameter, then reports the failure.
+int revoke_and_report(Comm& c) {
+  int rc = ftmpi::comm_revoke(c);
+  return rc;
+}
+
+// The same bail-out without braces: the revoking call sits in a return,
+// so the fall-through path still holds an active handle.
+int braceless_bail(Comm& c, double* buf) {
+  int rc = ftmpi::send(buf, 1, 0, 0, c);
+  if (rc != 0) return revoke_and_report(c);
+  return ftmpi::barrier(c);
+}
+
 // After a fall-through revoke, only the sanctioned salvage/repair set runs:
 // buffered probes, buffered receives, shrink, free.
 int revoke_then_salvage(Comm& c, double* buf) {

@@ -31,8 +31,10 @@ The analysis is deliberately path-insensitive except for one idiom the
 repair protocol uses everywhere: a revoke/free inside a conditional block
 that exits (`return`/`break`/`continue`/`throw`/abort) before the block
 closes is confined to that block — the fall-through path still holds an
-active handle.  A conditional revoke that *falls through* poisons the rest
-of the function (any later unsanctioned use may run on a revoked comm).
+active handle.  A braceless conditional jump (`if (c) return f(h);`) is
+the same idiom without the braces.  A conditional revoke that *falls
+through* poisons the rest of the function (any later unsanctioned use may
+run on a revoked comm).
 """
 
 from __future__ import annotations
@@ -333,6 +335,8 @@ class Model:
         # chain -> ("revoked"|"freed", line, via-note)
         states: dict[str, tuple[str, int, str]] = {}
         block_stack: list[tuple[int, dict | None]] = []
+        # (end index, snapshot) of braceless conditional jumps being scanned.
+        jump_stack: list[tuple[int, dict]] = []
         locals_decl: dict[str, int] = {}
         created: dict[str, int] = {}
         owned: set[str] = set()
@@ -392,6 +396,20 @@ class Model:
         i = b0 + 1
         while i < b1:
             t = toks[i].text
+            while jump_stack and i >= jump_stack[-1][0]:
+                # The jump left the function/loop: its effects never reach
+                # the fall-through path.
+                states.clear()
+                states.update(jump_stack.pop()[1])
+
+            if t in ("if", "else"):
+                body = i + 1
+                if t == "if":
+                    body = sf.match_paren(body) + 1 if toks[body].text == "(" else b1
+                if body < b1 and toks[body].text not in ("{", "if"):
+                    end = _stmt_end(sf, body)
+                    if _guard_exits(sf, body, end):
+                        jump_stack.append((end, dict(states)))
 
             if t == "{":
                 snap = dict(states) if _prev_cond_kind(sf, i) else None
